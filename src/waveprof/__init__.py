@@ -24,12 +24,13 @@ from .extract import (
     cross_interaction,
     extract_profiles,
     input_space_norm,
+    partial_sums,
     reconstruct,
     remainder,
     remainder_space_norm,
     verify,
 )
-from .field import CoeffField, RankedOrder, combine, rank, split_top, transform
+from .field import CoeffField, combine, rank, split_top, transform
 from .norms import (
     BesovParams,
     EmbeddingChainReport,

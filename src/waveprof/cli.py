@@ -25,7 +25,7 @@ from .io_json import (
     field_from_obj,
     field_to_obj,
 )
-from .norms import BesovParams, besov_norm, coeff_lp, lp_norm, sup_amplitude
+from .norms import BesovParams, norm_report
 from .synth import generate
 
 
@@ -136,21 +136,16 @@ def _parse_besov_triple(token: str) -> BesovParams:
 def _cmd_norms(args: argparse.Namespace) -> int:
     field = field_from_obj(_load_json(Path(args.field)))
     besov_list = [_parse_besov_triple(token) for token in args.besov or []]
+    norms = norm_report(field, besov_list)
     obj = {
         "dimension": field.dim,
         "p": field.p,
-        "lp": lp_norm(field),
-        "sup": sup_amplitude(field),
-        "coeff_lp": coeff_lp(field),
+        "lp": norms.lp,
+        "sup": norms.sup,
+        "coeff_lp": norms.amplitude_lp,
         "besov": [
-            {
-                "s": prm.s,
-                "a": prm.a,
-                "b": prm.b,
-                "value": besov_norm(field, prm),
-                "m_admissible": None,
-            }
-            for prm in besov_list
+            {"s": prm.s, "a": prm.a, "b": prm.b, "value": value, "m_admissible": None}
+            for prm, value in norms.besov
         ],
     }
     sys.stdout.write(dumps_canonical(obj))

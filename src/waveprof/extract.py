@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .dyadic import (
     DyadicAffine,
@@ -29,13 +29,7 @@ from .dyadic import (
     relative_map,
 )
 from .field import CoeffField, combine, rank, transform
-from .norms import (
-    BesovParams,
-    besov_norm,
-    cross_square_integral,
-    lp_norm,
-    sup_amplitude,
-)
+from .norms import BesovParams, besov_norm, cross_square_integral, lp_norm
 
 STABILITY_TOL = 1e-9
 
@@ -191,6 +185,12 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
     large parameter gaps as separation; otherwise open a new group, with a
     diagnostic when the gap behaviour was ambiguous.  Finally remove the
     extracted component from each residual.
+
+    Residuals are never built as fields.  Every input is ranked once; a
+    residual only ever loses its top-ranked entry, and the ranking key
+    totally orders distinct indices, so after ``t`` completed iterates the
+    residual of a retained index is the suffix of its input's ranking past
+    position ``t``.
     """
     fields = list(sequence)
     if not fields:
@@ -209,22 +209,27 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
     inputs = {n: f for n, f in enumerate(fields, start=1)}
     input_norm_max = max(input_space_norm(f, config.input_space) for f in fields)
     retained = sorted(inputs)
-    residuals = dict(inputs)
+    ranked = {n: rank(f) for n, f in inputs.items()}
     groups: list[_WorkingGroup] = []
     diagnostics: list[str] = []
     window = config.tail_window
 
     next_rank = 1
     while next_rank <= config.max_iterations:
+        # Each completed iterate removed one entry from every retained residual.
+        depth = next_rank - 1
         tail = retained[-window:]
-        if max(sup_amplitude(residuals[n]) for n in tail) <= config.stop_epsilon:
+        tail_sup = max(
+            abs(ranked[n][depth][1]) if depth < len(ranked[n]) else 0.0 for n in tail
+        )
+        if tail_sup <= config.stop_epsilon:
             break
-        exhausted = [n for n in retained if not residuals[n].entries]
+        exhausted = [n for n in retained if depth >= len(ranked[n])]
         if exhausted:
             diagnostics.append(
                 f"iterate {next_rank}: dropped {len(exhausted)} exhausted residuals"
             )
-            retained = [n for n in retained if residuals[n].entries]
+            retained = [n for n in retained if depth < len(ranked[n])]
             if len(retained) < window:
                 diagnostics.append(
                     f"iterate {next_rank}: retained set shrank below the tail window"
@@ -232,7 +237,7 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
                 break
             continue
 
-        tops = {n: rank(residuals[n])[0] for n in retained}
+        tops = {n: ranked[n][depth] for n in retained}
         tail_gens = [tops[n][0].gen for n in tail]
         modal_gen = max(set(tail_gens), key=lambda g: (tail_gens.count(g), -g))
         keep = [n for n in retained if tops[n][0].gen == modal_gen]
@@ -293,8 +298,6 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
                     f"opened group {len(groups) - 1}"
                 )
 
-        for n in retained:
-            residuals[n] = residuals[n].without(tops[n][0])
         next_rank += 1
 
     final_groups: list[ProfileGroup] = []
@@ -327,14 +330,28 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
     )
 
 
+def partial_sums(
+    groups: Sequence[ProfileGroup], n: int, dim: int, p: float
+) -> Iterator[CoeffField]:
+    """Sums of the first L transformed profiles at index ``n``, for L = 0..len(groups).
+
+    This is the one summation order of the package: reconstruction,
+    remainders, verification and synthetic generation all go through it, so
+    a perfect recovery cancels a generated input bit for bit.
+    """
+    acc = CoeffField.empty(dim, p)
+    yield acc
+    for group in groups:
+        acc = combine(acc, transform(group.profile, group.anchor_affine(n)))
+        yield acc
+
+
 def reconstruct(dec: Decomposition, level: int, n: int) -> CoeffField:
     """Sum of the first ``level`` transformed profiles at sequence index ``n``."""
     if not 0 <= level <= len(dec.groups):
         raise ValueError(f"level {level} out of range")
     dec.require_retained(n)
-    acc = CoeffField.empty(dec.dim, dec.p)
-    for group in dec.groups[:level]:
-        acc = combine(acc, transform(group.profile, group.anchor_affine(n)))
+    *_, acc = partial_sums(dec.groups[:level], n, dec.dim, dec.p)
     return acc
 
 
@@ -421,8 +438,9 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
     """Measure the decomposition; failures become report flags, never errors.
 
     Pairwise anchor gaps pass when nondecreasing on the tail window with final
-    value at least bound_threshold.  Remainder norms are tabulated in the
-    remainder space per level with tail maxima.  Stability compares the
+    value at least bound_threshold.  Remainder norms (input minus the
+    :func:`partial_sums` at each level) are tabulated in the remainder space
+    per level with tail maxima.  Stability compares the
     aggregated profile norms against the tail minimum of the input norms:
     p-th-power sums in Lebesgue mode, an l^tau norm with tau = max(a, q) in
     Besov mode.  Margins report by how much remainder input-space norms exceed
@@ -451,21 +469,21 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
                 GapReport(i, k, values, nondec, final, nondec and final >= config.bound_threshold)
             )
 
-    remainder_reports: list[RemainderReport] = []
-    margin_list: list[float] = []
-    for level in range(len(dec.groups) + 1):
-        rems = [remainder(dec, level, n) for n in ns]
-        norms = tuple(remainder_space_norm(r, config) for r in rems)
-        remainder_reports.append(RemainderReport(level, norms, max(norms[tail_start:], default=0.0)))
-        margin_list.append(
-            max(
-                (
-                    input_space_norm(rems[pos], space) - input_norms[pos]
-                    for pos in range(tail_start, len(ns))
-                ),
-                default=0.0,
-            )
-        )
+    # One pass over the partial sums per index; only the norms are kept.
+    levels = range(len(dec.groups) + 1)
+    rem_norms: list[list[float]] = [[] for _ in levels]
+    excess: list[list[float]] = [[] for _ in levels]
+    for pos, n in enumerate(ns):
+        for level, recon in enumerate(partial_sums(dec.groups, n, dec.dim, dec.p)):
+            rem = combine(dec.inputs[n], recon, 1.0, -1.0)
+            rem_norms[level].append(remainder_space_norm(rem, config))
+            if pos >= tail_start:
+                excess[level].append(input_space_norm(rem, space) - input_norms[pos])
+    remainder_reports = [
+        RemainderReport(level, tuple(norms), max(norms[tail_start:], default=0.0))
+        for level, norms in enumerate(rem_norms)
+    ]
+    margin_list = [max(values, default=0.0) for values in excess]
     tail_maxima = [r.tail_max for r in remainder_reports]
     nonincreasing = all(tail_maxima[i + 1] <= tail_maxima[i] for i in range(len(tail_maxima) - 1))
 

@@ -8,7 +8,7 @@ Index bookkeeping is exact; only amplitudes are floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -83,22 +83,6 @@ class CoeffField:
         return CoeffField(self.dim, self.p, remaining)
 
 
-@dataclass(frozen=True)
-class RankedOrder:
-    """Entries sorted by decreasing |amplitude| with deterministic tie-breaking."""
-
-    items: tuple[tuple[WaveletIndex, float], ...] = dc_field(default_factory=tuple)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self) -> Iterator[tuple[WaveletIndex, float]]:
-        return iter(self.items)
-
-    def __getitem__(self, position: int) -> tuple[WaveletIndex, float]:
-        return self.items[position]
-
-
 def transform(field: CoeffField, tau: DyadicAffine) -> CoeffField:
     """Remap every index through ``tau``; amplitudes and (dim, p) are unchanged."""
     if tau.dim != field.dim:
@@ -130,10 +114,14 @@ def scale(field: CoeffField, factor: float) -> CoeffField:
     return CoeffField(field.dim, field.p, {k: factor * v for k, v in field.entries.items()})
 
 
-def rank(field: CoeffField) -> RankedOrder:
-    """Full ordering by decreasing |amplitude|, ties by scale, shift, generator."""
+def rank(field: CoeffField) -> tuple[tuple[WaveletIndex, float], ...]:
+    """Entries by decreasing |amplitude|, ties by scale, shift, generator.
+
+    The key totally orders distinct indices, so removing the top entry of a
+    field leaves the ranking of the rest unchanged.
+    """
     ordered = sorted(field.entries.items(), key=lambda kv: (-abs(kv[1]),) + order_key(kv[0]))
-    return RankedOrder(tuple(ordered))
+    return tuple(ordered)
 
 
 def split_top(field: CoeffField, count: int) -> tuple[CoeffField, CoeffField]:
@@ -145,8 +133,7 @@ def split_top(field: CoeffField, count: int) -> tuple[CoeffField, CoeffField]:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    ordered = rank(field)
-    head = dict(ordered.items[:count])
+    head = dict(rank(field)[:count])
     tail = {k: v for k, v in field.entries.items() if k not in head}
     return (
         CoeffField(field.dim, field.p, head),

@@ -8,6 +8,7 @@ strings "inf" / "-inf" since JSON numbers cannot express them.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from typing import Any, Mapping
@@ -278,41 +279,13 @@ def decomposition_from_obj(obj: Mapping, inputs: Mapping[int, CoeffField]) -> De
     )
 
 
+def _report_dict(pairs: list[tuple[str, Any]]) -> dict:
+    return {("pass" if key == "passes" else key): value for key, value in pairs}
+
+
 def verification_to_obj(report: VerificationReport) -> dict:
-    return {
-        "retained": list(report.retained),
-        "input_norms": list(report.input_norms),
-        "profile_norms": list(report.profile_norms),
-        "gaps": [
-            {
-                "first": g.first,
-                "second": g.second,
-                "values": list(g.values),
-                "nondecreasing_tail": g.nondecreasing_tail,
-                "final": g.final,
-                "pass": g.passes,
-            }
-            for g in report.gaps
-        ],
-        "remainders": [
-            {"level": r.level, "norms": list(r.norms), "tail_max": r.tail_max}
-            for r in report.remainders
-        ],
-        "remainder_tail_nonincreasing": report.remainder_tail_nonincreasing,
-        "stability": {
-            "aggregation": report.stability.aggregation,
-            "lhs": report.stability.lhs,
-            "rhs": report.stability.rhs,
-            "tolerance": report.stability.tolerance,
-            "pass": report.stability.passes,
-        },
-        "margins": list(report.margins),
-        "margin_max": report.margin_max,
-        "cross": [
-            {"first": c.first, "second": c.second, "values": list(c.values)}
-            for c in report.cross
-        ],
-    }
+    """The report's fields as nested objects; ``passes`` flags are emitted as ``pass``."""
+    return dataclasses.asdict(report, dict_factory=_report_dict)
 
 
 def report_to_obj(

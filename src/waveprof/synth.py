@@ -26,7 +26,7 @@ from .dyadic import (
     invert,
     orthogonality_gap,
 )
-from .extract import Decomposition, GroupMember, ProfileGroup
+from .extract import Decomposition, GroupMember, ProfileGroup, partial_sums
 from .field import CoeffField, combine, order_key, rank, transform
 from .norms import lp_norm
 
@@ -258,9 +258,10 @@ def _noise_field(
 def generate(spec: SyntheticSpec) -> tuple[tuple[CoeffField, ...], Decomposition]:
     """Build the sequence and the decomposition that should be recovered.
 
-    Deterministic given the spec; the assembled sequence uses the same
-    combination order as reconstruction, so a perfect recovery cancels the
-    planted components exactly, coefficient by coefficient.
+    Deterministic given the spec.  Each input is the full
+    :func:`~waveprof.extract.partial_sums` of the planted groups, plus noise,
+    so a perfect recovery cancels the planted components exactly,
+    coefficient by coefficient.
     """
     validate_spec(spec)
     retained = tuple(range(1, spec.n_count + 1))
@@ -273,9 +274,7 @@ def generate(spec: SyntheticSpec) -> tuple[tuple[CoeffField, ...], Decomposition
 
     fields = []
     for n in retained:
-        acc = CoeffField.empty(spec.dim, spec.p)
-        for group in groups:
-            acc = combine(acc, transform(group.profile, group.anchor_affine(n)))
+        *_, acc = partial_sums(groups, n, spec.dim, spec.p)
         if spec.noise_count:
             acc = combine(acc, _noise_field(spec, stream, n, noise_scale, noise_offset))
         fields.append(acc)

@@ -110,7 +110,7 @@ class TestRank:
         for _ in range(30):
             f = random_field(rng, dim=2)
             ordered = rank(f)
-            assert dict(ordered.items) == dict(f.entries)
+            assert dict(ordered) == dict(f.entries)
             amps = [abs(a) for _, a in ordered]
             assert amps == sorted(amps, reverse=True)
 

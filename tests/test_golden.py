@@ -1,0 +1,168 @@
+"""Golden digests of decompose reports and bit-level pins of the remainder path.
+
+The digests fix every byte of two small reports: one in Lebesgue mode whose
+cross tables are nonzero, one in Besov mode whose remainders are nonzero
+(noise survives the stopping rule).  Any change to extraction order, the
+summation order of reconstructions or the report schema shows up here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from waveprof.cli import main
+from waveprof.extract import (
+    ExtractConfig,
+    LpInput,
+    remainder,
+    remainder_space_norm,
+    verify,
+)
+from waveprof.field import CoeffField
+from waveprof.io_json import decomposition_from_obj
+from conftest import lattice_index
+
+
+def _entry(gen, scale, shift, amp):
+    return {"i": gen, "j": scale, "k": [shift], "denom_exp": 0, "amp": amp}
+
+
+def _law(kind, k0, velocity=0, scale_step=0):
+    return {"kind": kind, "j0": 0, "k0": [k0], "velocity": [velocity], "scale_step": scale_step}
+
+
+# A stationary profile, one concentrating inside it and one translating away:
+# the first two overlap at every n, so their cross integrals are nonzero.
+LP_SPEC = {
+    "dimension": 1,
+    "p": 4.0,
+    "n_count": 8,
+    "seed": 5,
+    "profiles": [
+        {
+            "entries": [_entry(1, 0, 0, 1.0), _entry(1, 0, 1, -0.45), _entry(1, 0, -1, 0.3)],
+            "law": _law("constant", 0),
+        },
+        {
+            "entries": [_entry(1, 0, 0, -0.8), _entry(1, 1, 1, 0.35)],
+            "law": _law("scaling", 0, scale_step=1),
+        },
+        {
+            "entries": [_entry(1, 0, 0, 0.6), _entry(1, 0, 1, 0.25)],
+            "law": _law("translation", 1, velocity=9),
+        },
+    ],
+}
+LP_CONFIG = {
+    "max_iterations": 10,
+    "tail_window": 3,
+    "conv_tol": 1e-9,
+    "bound_threshold": 6.0,
+    "stop_epsilon": 1e-9,
+    "space": {"kind": "lp", "p": 4.0},
+    "remainder": [8.0, 8.0],
+}
+
+# Two translating Besov profiles under noise that the stopping rule keeps.
+BESOV_SPEC = {
+    "dimension": 1,
+    "p": 2.0,
+    "n_count": 8,
+    "seed": 7,
+    "profiles": [
+        {
+            "entries": [_entry(1, 0, 0, 0.9), _entry(1, 0, 1, -0.5), _entry(1, 1, 3, 0.2)],
+            "law": _law("constant", 0),
+        },
+        {
+            "entries": [_entry(1, 0, 0, -0.7), _entry(1, 1, 1, 0.4)],
+            "law": _law("translation", 2, velocity=6),
+        },
+    ],
+    "noise": {"amp": 1e-4, "count": 3},
+}
+BESOV_CONFIG = {
+    "max_iterations": 8,
+    "tail_window": 3,
+    "conv_tol": 1e-9,
+    "bound_threshold": 6.0,
+    "stop_epsilon": 1e-3,
+    "space": {"kind": "besov", "p": 2.0, "a": 2.0, "q": 2.0},
+    "remainder": [4.0, 4.0],
+}
+
+GOLDEN = {
+    "lp": "12d8bdc58f7f930d88e778fa4e076cf3bd7e5fee0315335e4b5a183bd2585e8f",
+    "besov": "bb6eadd25b23d4c63be8afb252d67ca6c7ac422fcfec935dd049da91ed4ca780",
+}
+
+
+def _decompose(tmp_path, spec, config):
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    corpus = tmp_path / "corpus"
+    report = tmp_path / "report.json"
+    assert main(["generate", str(tmp_path / "spec.json"), str(corpus)]) == 0
+    assert main(["decompose", str(corpus), "--config", str(tmp_path / "config.json"),
+                 "--out", str(report)]) == 0
+    return report.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, spec, config",
+    [("lp", LP_SPEC, LP_CONFIG), ("besov", BESOV_SPEC, BESOV_CONFIG)],
+)
+def test_report_digest(tmp_path, name, spec, config):
+    text = _decompose(tmp_path, spec, config)
+    report = json.loads(text)
+    verification = report["verification"]
+    if name == "lp":
+        assert len(report["decomposition"]["groups"]) >= 3
+        assert any(v != 0.0 for c in verification["cross"] for v in c["values"])
+    else:
+        assert any(v != 0.0 for v in verification["remainders"][-1]["norms"])
+    assert hashlib.sha256(text).hexdigest() == GOLDEN[name]
+
+
+def test_remainder_is_input_minus_partial_sum():
+    # Both groups map their profile onto lattice index (1, 0, 0) at n = 1, so
+    # the reconstruction there adds two amplitudes before subtracting.  The
+    # values are chosen so that x - (a + b) and (x - a) - b differ in the
+    # last bit, and so do the remainder norms built from them.
+    rows = [[1, 0, [0]], [2, 0, [0]], [3, 0, [0]]]
+    moving = [[1, 0, [0]], [2, 0, [5]], [3, 0, [9]]]
+    member = {"gen": 1, "scale": 0, "shift": [0], "denom_exp": 0, "rank": 1}
+    obj = {
+        "dimension": 1, "p": 4.0, "count": 3, "retained": [1, 2, 3],
+        "diagnostics": [], "input_norm_max": 1.0,
+        "groups": [
+            {"anchor": rows, "members": [dict(member, amplitude=0.2)],
+             "profile": [_entry(1, 0, 0, 0.2)]},
+            {"anchor": moving, "members": [dict(member, amplitude=0.1, rank=2)],
+             "profile": [_entry(1, 0, 0, 0.1)]},
+        ],
+    }
+    x = 1.0
+    assert x - (0.2 + 0.1) != (x - 0.2) - 0.1
+    inputs = {
+        n: CoeffField.from_items(1, 4.0, [
+            (lattice_index(1, 0, 0), x),
+            (lattice_index(1, 0, shift), 0.75),
+        ])
+        for n, shift in ((1, 3), (2, 4), (3, 6))
+    }
+    dec = decomposition_from_obj(obj, inputs)
+    config = ExtractConfig(
+        max_iterations=4, tail_window=2, conv_tol=1e-9, bound_threshold=6.0,
+        stop_epsilon=1e-9, input_space=LpInput(4.0), remainder_space=(8.0, 8.0),
+    )
+    report = verify(dec, config)
+    assert [r.level for r in report.remainders] == [0, 1, 2]
+    for row in report.remainders:
+        expected = tuple(
+            remainder_space_norm(remainder(dec, row.level, n), config) for n in dec.retained
+        )
+        assert row.norms == expected
