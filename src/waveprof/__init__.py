@@ -2,12 +2,10 @@
 
 from .dyadic import (
     DyadicAffine,
-    DyadicCube,
     DyadicRationalVec,
     WaveletIndex,
     act_on_index,
     compose,
-    cube_of,
     invert,
     magnitude,
     orthogonality_gap,
@@ -56,5 +54,18 @@ from .synth import (
     validate_spec,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "DyadicAffine", "DyadicRationalVec", "WaveletIndex", "act_on_index", "compose",
+    "invert", "magnitude", "orthogonality_gap", "relative_map",
+    "BesovInput", "Decomposition", "ExtractConfig", "GroupMember", "LpInput",
+    "ProfileGroup", "VerificationReport", "cross_interaction", "extract_profiles",
+    "input_space_norm", "partial_sums", "reconstruct", "remainder",
+    "remainder_space_norm", "verify",
+    "CoeffField", "combine", "rank", "split_top", "transform",
+    "BesovParams", "EmbeddingChainReport", "InterpolationCheck", "NormReport",
+    "besov_norm", "coeff_lp", "cross_square_integral", "embedding_chain_check",
+    "interpolation_check", "lp_norm", "norm_report", "sup_amplitude",
+    "AlignmentReport", "ParamLaw", "PlantedProfile", "SeededStream",
+    "SyntheticSpec", "align_frames", "generate", "validate_spec",
+]
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import io_json
-from .extract import BesovInput, ExtractConfig, LpInput, extract_profiles, verify
+from .extract import extract_profiles, verify
 from .field import CoeffField
 from .io_json import (
     config_from_obj,
@@ -70,34 +70,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_overrides(config: ExtractConfig, args: argparse.Namespace) -> ExtractConfig:
-    updates: dict = {}
-    if args.tail_window is not None:
-        updates["tail_window"] = args.tail_window
-    if args.stop_epsilon is not None:
-        updates["stop_epsilon"] = args.stop_epsilon
-    if args.max_iterations is not None:
-        updates["max_iterations"] = args.max_iterations
-    space = config.input_space
-    if args.space is not None:
-        p = args.p if args.p is not None else space.p
-        if args.space == "lp":
-            space = LpInput(p)
-        else:
-            if args.a is None or args.q is None:
-                raise ValueError("--space besov requires --a and --q")
-            space = BesovInput(p, args.a, args.q)
-        updates["input_space"] = space
-    elif args.p is not None:
-        raise ValueError("--p requires --space")
-    if args.remainder is not None:
-        updates["remainder_space"] = tuple(args.remainder)
-    return replace(config, **updates) if updates else config
-
-
 def _cmd_decompose(args: argparse.Namespace) -> int:
     config = config_from_obj(_load_json(Path(args.config)))
-    config = _apply_overrides(config, args)
     fields = _load_corpus(Path(args.in_dir))
     dec = extract_profiles(fields, config)
     report = verify(dec, config)
@@ -169,14 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("in_dir", help="directory of field_*.json files")
     dec.add_argument("--config", required=True, help="extraction config JSON file")
     dec.add_argument("--out", required=True, help="report output path")
-    dec.add_argument("--tail-window", dest="tail_window", type=int, default=None)
-    dec.add_argument("--stop-epsilon", dest="stop_epsilon", type=float, default=None)
-    dec.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
-    dec.add_argument("--space", choices=("lp", "besov"), default=None)
-    dec.add_argument("--p", type=float, default=None)
-    dec.add_argument("--a", type=float, default=None)
-    dec.add_argument("--q", type=float, default=None)
-    dec.add_argument("--remainder", nargs=2, type=float, default=None, metavar=("X", "Y"))
     dec.set_defaults(handler=_cmd_decompose)
 
     ver = sub.add_parser("verify", help="re-run verification for a stored report")

@@ -3,14 +3,14 @@
 Everything here is integer-valued or dyadic-rational and therefore exact:
 scale/translation maps of the form ``x -> 2**j * x - k`` compose, invert and
 act on wavelet indices without any floating point.  Floats appear only in
-derived magnitudes (Euclidean norms, cube volumes).
+derived magnitudes (Euclidean norms).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def _normalize(numerators: tuple[int, ...], denom_exp: int) -> tuple[tuple[int, ...], int]:
@@ -110,30 +110,6 @@ class WaveletIndex:
 
 
 @dataclass(frozen=True)
-class DyadicCube:
-    """The half-open cube {x : 2**scale * x - corner in [0,1)^d}, volume 2**(-d*scale)."""
-
-    scale: int
-    corner: DyadicRationalVec
-
-    @property
-    def dim(self) -> int:
-        return self.corner.dim
-
-    def volume(self) -> float:
-        return math.ldexp(1.0, -self.dim * self.scale)
-
-    def bounds(self) -> tuple[tuple[float, float], ...]:
-        lo = self.corner.scaled_by_pow2(-self.scale)
-        return tuple(
-            (a, a + math.ldexp(1.0, -self.scale)) for a in lo.as_floats()
-        )
-
-    def contains(self, point: Sequence[float]) -> bool:
-        return all(lo <= x < hi for x, (lo, hi) in zip(point, self.bounds()))
-
-
-@dataclass(frozen=True)
 class DyadicAffine:
     """The map tau(x) = 2**scale * x - shift on R^d."""
 
@@ -155,10 +131,6 @@ class DyadicAffine:
     @property
     def is_identity(self) -> bool:
         return self.scale == 0 and all(c == 0 for c in self.shift.numerators)
-
-    def apply(self, point: Sequence[float]) -> tuple[float, ...]:
-        shift = self.shift.as_floats()
-        return tuple(math.ldexp(x, self.scale) - k for x, k in zip(point, shift))
 
 
 def compose(inner: DyadicAffine, outer: DyadicAffine) -> DyadicAffine:
@@ -198,11 +170,6 @@ def act_on_index(tau: DyadicAffine, index: WaveletIndex) -> WaveletIndex:
         tau.scale + index.scale,
         tau.shift.scaled_by_pow2(index.scale) + index.shift,
     )
-
-
-def cube_of(index: WaveletIndex) -> DyadicCube:
-    """Localization cube of a basis element."""
-    return DyadicCube(index.scale, index.shift)
 
 
 LatticeParams = tuple[int, tuple[int, ...]]

@@ -98,15 +98,12 @@ class ExtractConfig:
 def input_space_norm(field: CoeffField, space: InputSpace) -> float:
     if isinstance(space, LpInput):
         return lp_norm(field)
-    inv_a = 0.0 if space.a == math.inf else 1.0 / space.a
-    return besov_norm(field, BesovParams(field.dim * (inv_a - 1.0 / space.p), space.a, space.q))
+    return besov_norm(field, BesovParams.critical(field.dim, space.p, space.a, space.q))
 
 
 def remainder_space_norm(field: CoeffField, config: ExtractConfig) -> float:
     inner, outer = config.remainder_space
-    inv = 0.0 if inner == math.inf else 1.0 / inner
-    s = field.dim * (inv - 1.0 / config.input_space.p)
-    return besov_norm(field, BesovParams(s, inner, outer))
+    return besov_norm(field, BesovParams.critical(field.dim, config.input_space.p, inner, outer))
 
 
 @dataclass(frozen=True)

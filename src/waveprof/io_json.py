@@ -111,22 +111,25 @@ def _entry_from_obj(obj: Mapping, dim: int) -> tuple[WaveletIndex, float]:
     return index, _as_float(obj["amp"], "amplitude")
 
 
-def field_to_obj(field: CoeffField) -> dict:
+def _entries_obj(field: CoeffField) -> list:
     ordered = sorted(field.entries.items(), key=lambda kv: order_key(kv[0]))
-    return {
-        "dimension": field.dim,
-        "p": field.p,
-        "entries": [_entry_obj(index, amp) for index, amp in ordered],
-    }
+    return [_entry_obj(index, amp) for index, amp in ordered]
+
+
+def _entries_from_obj(entries: Any, dim: int, p: float) -> CoeffField:
+    if not isinstance(entries, list):
+        raise ValueError("entries must be a list")
+    return CoeffField.from_items(dim, p, [_entry_from_obj(e, dim) for e in entries])
+
+
+def field_to_obj(field: CoeffField) -> dict:
+    return {"dimension": field.dim, "p": field.p, "entries": _entries_obj(field)}
 
 
 def field_from_obj(obj: Mapping) -> CoeffField:
     dim = _as_int(obj["dimension"], "dimension")
     p = _as_float(obj["p"], "p")
-    entries = obj.get("entries", [])
-    if not isinstance(entries, list):
-        raise ValueError("entries must be a list")
-    return CoeffField.from_items(dim, p, [_entry_from_obj(e, dim) for e in entries])
+    return _entries_from_obj(obj.get("entries", []), dim, p)
 
 
 # -- extraction config -------------------------------------------------------
@@ -215,14 +218,10 @@ def _group_obj(group: ProfileGroup) -> dict:
     anchor_rows = [
         [n, j, list(k)] for n, (j, k) in sorted(group.anchor_params.items())
     ]
-    profile_entries = [
-        _entry_obj(index, amp)
-        for index, amp in sorted(group.profile.entries.items(), key=lambda kv: order_key(kv[0]))
-    ]
     return {
         "anchor": anchor_rows,
         "members": [_member_obj(m) for m in group.members],
-        "profile": profile_entries,
+        "profile": _entries_obj(group.profile),
     }
 
 
@@ -237,10 +236,7 @@ def _group_from_obj(obj: Mapping, dim: int, p: float) -> ProfileGroup:
             tuple(_as_int(c, "shift component") for c in k),
         )
     members = tuple(_member_from_obj(m, dim) for m in obj.get("members", []))
-    profile = CoeffField.from_items(
-        dim, p, [_entry_from_obj(e, dim) for e in obj.get("profile", [])]
-    )
-    return ProfileGroup(anchors, members, profile)
+    return ProfileGroup(anchors, members, _entries_from_obj(obj.get("profile", []), dim, p))
 
 
 def decomposition_to_obj(dec: Decomposition) -> dict:
@@ -336,7 +332,7 @@ def synthetic_spec_to_obj(spec: SyntheticSpec) -> dict:
         "seed": spec.seed,
         "profiles": [
             {
-                "entries": field_to_obj(planted.field)["entries"],
+                "entries": _entries_obj(planted.field),
                 "law": _law_to_obj(planted.law),
             }
             for planted in spec.profiles
@@ -355,13 +351,11 @@ def synthetic_spec_from_obj(obj: Mapping) -> SyntheticSpec:
     if not isinstance(raw_profiles, list) or not raw_profiles:
         raise ValueError("spec requires a nonempty profile list")
     for raw in raw_profiles:
-        entries = [_entry_from_obj(e, dim) for e in raw.get("entries", [])]
+        field = _entries_from_obj(raw.get("entries", []), dim, p)
         law_obj = raw.get("law")
         if not isinstance(law_obj, Mapping):
             raise ValueError("each profile requires a law object")
-        profiles.append(
-            PlantedProfile(CoeffField.from_items(dim, p, entries), _law_from_obj(law_obj))
-        )
+        profiles.append(PlantedProfile(field, _law_from_obj(law_obj)))
     noise = obj.get("noise") or {}
     return SyntheticSpec(
         dim=dim,

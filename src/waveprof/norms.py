@@ -38,8 +38,13 @@ class BesovParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.s):
             raise ValueError("smoothness must be finite")
-        if self.a < 1.0 or self.b < 1.0:
+        if not (self.a >= 1.0 and self.b >= 1.0):
             raise ValueError("exponents must lie in [1, infinity]")
+
+    @classmethod
+    def critical(cls, dim: int, p: float, a: float, b: float) -> BesovParams:
+        """The triple (d*(1/a - 1/p), a, b), which embeds into L^p with no room to spare."""
+        return cls(dim * (1.0 / a - 1.0 / p), a, b)
 
 
 def _lp_of(values: Sequence[float], exponent: float) -> float:
@@ -70,8 +75,7 @@ def besov_norm(field: CoeffField, params: BesovParams) -> float:
     """
     if not field.entries:
         return 0.0
-    inv_a = 0.0 if params.a == math.inf else 1.0 / params.a
-    weight_exp = params.s + field.dim * (1.0 / field.p - inv_a)
+    weight_exp = params.s + field.dim * (1.0 / field.p - 1.0 / params.a)
     by_scale: dict[int, list[float]] = {}
     for index, amp in field.entries.items():
         by_scale.setdefault(index.scale, []).append(abs(amp))
@@ -232,14 +236,13 @@ def interpolation_check(
     behind this bound has constant exactly 1, so ``holds`` is expected for
     every admissible input.
     """
-    p, d = field.p, field.dim
+    p = field.p
     if not (2.0 <= p < q and p < r):
         raise ValueError("exponents must satisfy 2 <= p < q, r <= infinity")
     floor = max(p / r, p / q)
     if not (floor < alpha < 1.0):
         raise ValueError(f"alpha must lie in ({floor}, 1)")
-    inv_r = 0.0 if r == math.inf else 1.0 / r
-    lhs = besov_norm(field, BesovParams(d * (inv_r - 1.0 / p), r, q))
+    lhs = besov_norm(field, BesovParams.critical(field.dim, p, r, q))
     rhs = coeff_lp(field) ** alpha * sup_amplitude(field) ** (1.0 - alpha)
     return InterpolationCheck(lhs, rhs, lhs <= rhs * (1.0 + _REL_SLACK))
 
@@ -264,13 +267,12 @@ def embedding_chain_check(field: CoeffField, q: float, r: float) -> EmbeddingCha
     reports the empirical ratio amplitude-l^p / lp_norm, whose uniform bound
     is not explicit and therefore only observed, never asserted.
     """
-    p, d = field.p, field.dim
+    p = field.p
     if not (2.0 <= p <= q and p <= r):
         raise ValueError("exponents must satisfy 2 <= p <= q, r <= infinity")
-    inv_r = 0.0 if r == math.inf else 1.0 / r
     b_pp = besov_norm(field, BesovParams(0.0, p, p))
     b_pq = besov_norm(field, BesovParams(0.0, p, q))
-    b_rq = besov_norm(field, BesovParams(d * (inv_r - 1.0 / p), r, q))
+    b_rq = besov_norm(field, BesovParams.critical(field.dim, p, r, q))
     lp = lp_norm(field)
     clp = coeff_lp(field)
     return EmbeddingChainReport(

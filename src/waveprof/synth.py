@@ -219,19 +219,16 @@ def _reframed_groups(spec: SyntheticSpec, retained: tuple[int, ...]) -> list[Pro
     return groups
 
 
-def _noise_scale_and_offset(spec: SyntheticSpec, groups: list[ProfileGroup]) -> tuple[int, int]:
+def _noise_scale_and_offset(planted: list[CoeffField]) -> tuple[int, int]:
     top_scale = 0
     reach = Fraction(1)
-    for n in range(1, spec.n_count + 1):
-        for group in groups:
-            tau = group.anchor_affine(n)
-            for index in group.profile.entries:
-                moved = act_on_index(tau, index)
-                top_scale = max(top_scale, moved.scale)
-                side = Fraction(1 << max(-moved.scale, 0), 1 << max(moved.scale, 0))
-                for c in moved.shift.numerators:
-                    corner = Fraction(abs(c), 1 << moved.shift.denom_exp)
-                    reach = max(reach, (corner + 1) * side)
+    for field in planted:
+        for index in field.entries:
+            top_scale = max(top_scale, index.scale)
+            side = Fraction(1 << max(-index.scale, 0), 1 << max(index.scale, 0))
+            for c in index.shift.numerators:
+                corner = Fraction(abs(c), 1 << index.shift.denom_exp)
+                reach = max(reach, (corner + 1) * side)
     return top_scale + 1, int(math.ceil(reach)) + 1
 
 
@@ -261,23 +258,25 @@ def generate(spec: SyntheticSpec) -> tuple[tuple[CoeffField, ...], Decomposition
     Deterministic given the spec.  Each input is the full
     :func:`~waveprof.extract.partial_sums` of the planted groups, plus noise,
     so a perfect recovery cancels the planted components exactly,
-    coefficient by coefficient.
+    coefficient by coefficient.  Noise is placed beyond the planted sums'
+    indices; those are exactly the transformed planted indices, because
+    :func:`validate_spec` rejects colliding supports.
     """
     validate_spec(spec)
     retained = tuple(range(1, spec.n_count + 1))
     groups = _reframed_groups(spec, retained)
 
-    stream = SeededStream(spec.seed)
-    noise_scale, noise_offset = (0, 0)
-    if spec.noise_count:
-        noise_scale, noise_offset = _noise_scale_and_offset(spec, groups)
-
     fields = []
     for n in retained:
         *_, acc = partial_sums(groups, n, spec.dim, spec.p)
-        if spec.noise_count:
-            acc = combine(acc, _noise_field(spec, stream, n, noise_scale, noise_offset))
         fields.append(acc)
+    if spec.noise_count:
+        stream = SeededStream(spec.seed)
+        noise_scale, noise_offset = _noise_scale_and_offset(fields)
+        fields = [
+            combine(acc, _noise_field(spec, stream, n, noise_scale, noise_offset))
+            for n, acc in zip(retained, fields)
+        ]
 
     truth = Decomposition(
         dim=spec.dim,

@@ -21,6 +21,21 @@ def single_entry_field(dim: int, p: float, amp: float, gen=1, scale=0, shift=Non
     return CoeffField.from_items(dim, p, [(WaveletIndex(gen, scale, DyadicRationalVec.from_ints(shift)), amp)])
 
 
+def cube_bounds(index: WaveletIndex) -> tuple[tuple[float, float], ...]:
+    """Per-axis bounds of the localization cube {x : 2**j * x - k in [0,1)^d}."""
+    side = math.ldexp(1.0, -index.scale)
+    return tuple((lo, lo + side) for lo in index.shift.scaled_by_pow2(-index.scale).as_floats())
+
+
+def in_cube(index: WaveletIndex, point) -> bool:
+    return all(lo <= x < hi for x, (lo, hi) in zip(point, cube_bounds(index)))
+
+
+def apply_affine(tau: DyadicAffine, point) -> tuple[float, ...]:
+    """The point map x -> 2**scale * x - shift."""
+    return tuple(math.ldexp(x, tau.scale) - k for x, k in zip(point, tau.shift.as_floats()))
+
+
 def random_field(
     rng: np.random.Generator,
     dim: int = 1,

@@ -153,18 +153,16 @@ class TestDecompose:
         cfg.write_text(json.dumps(CONFIG_OBJ))
         assert main(["decompose", str(empty), "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
 
-    def test_flag_overrides(self, corpus):
+    def test_settings_come_only_from_the_config_file(self, corpus):
         tmp, corpus_dir, config_path = corpus
         out = tmp / "report_b.json"
-        code = main([
-            "decompose", str(corpus_dir), "--config", str(config_path), "--out", str(out),
-            "--space", "besov", "--a", "2", "--q", "2", "--remainder", "4", "4",
-            "--tail-window", "4",
-        ])
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert report["config"]["space"] == {"kind": "besov", "p": 4.0, "a": 2.0, "q": 2.0}
-        assert report["config"]["tail_window"] == 4
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "decompose", str(corpus_dir), "--config", str(config_path), "--out", str(out),
+                "--tail-window", "4",
+            ])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_byte_determinism(self, corpus):
         tmp, corpus_dir, config_path = corpus
@@ -188,6 +186,16 @@ class TestVerify:
         bogus = tmp_path / "bogus.json"
         bogus.write_text("{}")
         assert main(["verify", str(bogus), str(corpus_dir)]) == 2
+
+    def test_non_list_group_profile_exits_2(self, corpus, capsys):
+        tmp, corpus_dir, config_path = corpus
+        report = tmp / "report.json"
+        assert main(["decompose", str(corpus_dir), "--config", str(config_path), "--out", str(report)]) == 0
+        stored = json.loads(report.read_text())
+        stored["decomposition"]["groups"][0]["profile"] = {"i": 1}
+        report.write_text(json.dumps(stored))
+        assert main(["verify", str(report), str(corpus_dir)]) == 2
+        assert "entries must be a list" in capsys.readouterr().err
 
 
 class TestNorms:
@@ -224,3 +232,8 @@ class TestNorms:
         _, corpus_dir, _ = corpus
         assert main(["norms", str(corpus_dir / "field_0001.json"), "--besov", "0,2"]) == 2
         assert main(["norms", str(corpus_dir / "field_0001.json"), "--besov", "0,zero,2"]) == 2
+
+    def test_nan_besov_exponent_exits_2(self, corpus, capsys):
+        _, corpus_dir, _ = corpus
+        assert main(["norms", str(corpus_dir / "field_0001.json"), "--besov=0,nan,2"]) == 2
+        assert "exponents must lie in [1, infinity]" in capsys.readouterr().err

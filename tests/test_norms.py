@@ -118,6 +118,18 @@ class TestBesovNorm:
         with pytest.raises(ValueError):
             BesovParams(math.inf, 2.0, 2.0)
 
+    def test_nan_exponents_rejected(self):
+        for a, b in [(math.nan, 2.0), (2.0, math.nan), (math.nan, math.nan)]:
+            with pytest.raises(ValueError, match=r"exponents must lie in \[1, infinity\]"):
+                BesovParams(0.0, a, b)
+
+    def test_critical_triple(self):
+        assert BesovParams.critical(1, 4.0, 2.0, 3.0) == BesovParams(0.25, 2.0, 3.0)
+        for dim in (1, 2, 3):
+            for p in (2.0, 4.0, 8.0):
+                prm = BesovParams.critical(dim, p, math.inf, 2.0)
+                assert prm.s == -dim / p
+
 
 class TestInvariance:
     def test_lebesgue_norm_invariant_under_remap(self):
