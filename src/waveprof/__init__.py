@@ -37,6 +37,7 @@ from .norms import (
     besov_norm,
     coeff_lp,
     cross_square_integral,
+    cross_square_pair,
     embedding_chain_check,
     interpolation_check,
     lp_norm,
@@ -63,8 +64,9 @@ __all__ = [
     "remainder_space_norm", "verify",
     "CoeffField", "combine", "rank", "split_top", "transform",
     "BesovParams", "EmbeddingChainReport", "InterpolationCheck", "NormReport",
-    "besov_norm", "coeff_lp", "cross_square_integral", "embedding_chain_check",
-    "interpolation_check", "lp_norm", "norm_report", "sup_amplitude",
+    "besov_norm", "coeff_lp", "cross_square_integral", "cross_square_pair",
+    "embedding_chain_check", "interpolation_check", "lp_norm", "norm_report",
+    "sup_amplitude",
     "AlignmentReport", "ParamLaw", "PlantedProfile", "SeededStream",
     "SyntheticSpec", "align_frames", "generate", "validate_spec",
 ]

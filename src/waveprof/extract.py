@@ -29,7 +29,7 @@ from .dyadic import (
     relative_map,
 )
 from .field import CoeffField, combine, rank, transform
-from .norms import BesovParams, besov_norm, cross_square_integral, lp_norm
+from .norms import BesovParams, besov_norm, cross_square_integral, cross_square_pair, lp_norm
 
 STABILITY_TOL = 1e-9
 
@@ -86,7 +86,7 @@ class ExtractConfig:
             if not (space.p < first and space.p < second):
                 raise ValueError("remainder exponents must both exceed p")
         else:
-            if space.a < 1.0 or space.q < 1.0:
+            if not (space.a >= 1.0 and space.q >= 1.0):
                 raise ValueError("input exponents must be at least 1")
             b, r = first, second
             if not b > space.a:
@@ -327,19 +327,19 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
     )
 
 
-def partial_sums(
-    groups: Sequence[ProfileGroup], n: int, dim: int, p: float
-) -> Iterator[CoeffField]:
-    """Sums of the first L transformed profiles at index ``n``, for L = 0..len(groups).
+def partial_sums(profiles: Sequence[CoeffField], dim: int, p: float) -> Iterator[CoeffField]:
+    """Sums of the first L transformed profiles, for L = 0..len(profiles).
 
-    This is the one summation order of the package: reconstruction,
-    remainders, verification and synthetic generation all go through it, so
-    a perfect recovery cancels a generated input bit for bit.
+    ``profiles`` are the group profiles already moved to one sequence index
+    (``transform(group.profile, group.anchor_affine(n))``).  This is the one
+    summation order of the package: reconstruction, remainders, verification
+    and synthetic generation all go through it, so a perfect recovery cancels
+    a generated input bit for bit.
     """
     acc = CoeffField.empty(dim, p)
     yield acc
-    for group in groups:
-        acc = combine(acc, transform(group.profile, group.anchor_affine(n)))
+    for placed in profiles:
+        acc = combine(acc, placed)
         yield acc
 
 
@@ -348,7 +348,8 @@ def reconstruct(dec: Decomposition, level: int, n: int) -> CoeffField:
     if not 0 <= level <= len(dec.groups):
         raise ValueError(f"level {level} out of range")
     dec.require_retained(n)
-    *_, acc = partial_sums(dec.groups[:level], n, dec.dim, dec.p)
+    placed = [transform(g.profile, g.anchor_affine(n)) for g in dec.groups[:level]]
+    *_, acc = partial_sums(placed, dec.dim, dec.p)
     return acc
 
 
@@ -441,7 +442,9 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
     aggregated profile norms against the tail minimum of the input norms:
     p-th-power sums in Lebesgue mode, an l^tau norm with tau = max(a, q) in
     Besov mode.  Margins report by how much remainder input-space norms exceed
-    the input norms on the tail.
+    the input norms on the tail.  Cross tables hold :func:`cross_interaction`
+    for every ordered pair of distinct groups, computed with one cell pass per
+    unordered pair whose bounding boxes overlap.
     """
     ns = list(dec.retained)
     window = min(config.tail_window, len(ns))
@@ -466,16 +469,25 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
                 GapReport(i, k, values, nondec, final, nondec and final >= config.bound_threshold)
             )
 
-    # One pass over the partial sums per index; only the norms are kept.
-    levels = range(len(dec.groups) + 1)
+    # Each profile is transformed once per index; the placed profiles feed
+    # both the partial sums (only the remainder norms are kept) and the cross
+    # table, which takes both orders of a pair from one cell pass.
+    groups = len(dec.groups)
+    levels = range(groups + 1)
     rem_norms: list[list[float]] = [[] for _ in levels]
     excess: list[list[float]] = [[] for _ in levels]
+    table = [[[0.0] * len(ns) for _ in range(groups)] for _ in range(groups)]
     for pos, n in enumerate(ns):
-        for level, recon in enumerate(partial_sums(dec.groups, n, dec.dim, dec.p)):
+        placed = [transform(g.profile, g.anchor_affine(n)) for g in dec.groups]
+        for level, recon in enumerate(partial_sums(placed, dec.dim, dec.p)):
             rem = combine(dec.inputs[n], recon, 1.0, -1.0)
             rem_norms[level].append(remainder_space_norm(rem, config))
             if pos >= tail_start:
                 excess[level].append(input_space_norm(rem, space) - input_norms[pos])
+        if dec.p != 2.0:
+            for i in range(groups):
+                for k in range(i + 1, groups):
+                    table[i][k][pos], table[k][i][pos] = cross_square_pair(placed[i], placed[k])
     remainder_reports = [
         RemainderReport(level, tuple(norms), max(norms[tail_start:], default=0.0))
         for level, norms in enumerate(rem_norms)
@@ -503,14 +515,12 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
         passes=lhs <= rhs + STABILITY_TOL,
     )
 
-    cross_reports: list[CrossReport] = []
-    for i in range(len(dec.groups)):
-        for k in range(len(dec.groups)):
-            if i == k:
-                continue
-            cross_reports.append(
-                CrossReport(i, k, tuple(cross_interaction(dec, i, k, n) for n in ns))
-            )
+    cross_reports = [
+        CrossReport(i, k, tuple(table[i][k]))
+        for i in range(groups)
+        for k in range(groups)
+        if i != k
+    ]
 
     return VerificationReport(
         retained=tuple(ns),

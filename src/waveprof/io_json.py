@@ -86,6 +86,18 @@ def _as_int(value: Any, what: str = "value") -> int:
     return value
 
 
+def _as_list(value: Any, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list")
+    return value
+
+
+def _as_object(value: Any, what: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what} must be an object")
+    return value
+
+
 # -- coefficient fields ------------------------------------------------------
 
 
@@ -99,7 +111,8 @@ def _entry_obj(index: WaveletIndex, amp: float) -> dict:
     }
 
 
-def _entry_from_obj(obj: Mapping, dim: int) -> tuple[WaveletIndex, float]:
+def _entry_from_obj(obj: Any, dim: int) -> tuple[WaveletIndex, float]:
+    obj = _as_object(obj, "entry")
     k = obj.get("k")
     if not isinstance(k, list) or len(k) != dim:
         raise ValueError("entry shift must be a list matching the dimension")
@@ -117,9 +130,8 @@ def _entries_obj(field: CoeffField) -> list:
 
 
 def _entries_from_obj(entries: Any, dim: int, p: float) -> CoeffField:
-    if not isinstance(entries, list):
-        raise ValueError("entries must be a list")
-    return CoeffField.from_items(dim, p, [_entry_from_obj(e, dim) for e in entries])
+    items = [_entry_from_obj(e, dim) for e in _as_list(entries, "entries")]
+    return CoeffField.from_items(dim, p, items)
 
 
 def field_to_obj(field: CoeffField) -> dict:
@@ -195,7 +207,8 @@ def _member_obj(member: GroupMember) -> dict:
     }
 
 
-def _member_from_obj(obj: Mapping, dim: int) -> GroupMember:
+def _member_from_obj(obj: Any, dim: int) -> GroupMember:
+    obj = _as_object(obj, "group member")
     shift = obj.get("shift")
     if not isinstance(shift, list) or len(shift) != dim:
         raise ValueError("member shift must match the dimension")
@@ -225,17 +238,22 @@ def _group_obj(group: ProfileGroup) -> dict:
     }
 
 
-def _group_from_obj(obj: Mapping, dim: int, p: float) -> ProfileGroup:
+def _group_from_obj(obj: Any, dim: int, p: float) -> ProfileGroup:
+    obj = _as_object(obj, "group")
     anchors = {}
-    for row in obj.get("anchor", []):
+    for row in _as_list(obj.get("anchor", []), "group anchor"):
         if not (isinstance(row, list) and len(row) == 3):
             raise ValueError("anchor rows must be [n, j, k]")
         n, j, k = row
+        if not isinstance(k, list) or len(k) != dim:
+            raise ValueError("anchor row shift must be a list matching the dimension")
         anchors[_as_int(n, "index")] = (
             _as_int(j, "scale"),
             tuple(_as_int(c, "shift component") for c in k),
         )
-    members = tuple(_member_from_obj(m, dim) for m in obj.get("members", []))
+    members = tuple(
+        _member_from_obj(m, dim) for m in _as_list(obj.get("members", []), "group members")
+    )
     return ProfileGroup(anchors, members, _entries_from_obj(obj.get("profile", []), dim, p))
 
 
@@ -259,8 +277,10 @@ def decomposition_from_obj(obj: Mapping, inputs: Mapping[int, CoeffField]) -> De
     for field in inputs.values():
         if field.dim != dim or field.p != p:
             raise ValueError("inputs do not match the stored decomposition")
-    retained = tuple(_as_int(n, "retained index") for n in obj.get("retained", []))
-    groups = tuple(_group_from_obj(g, dim, p) for g in obj.get("groups", []))
+    retained = tuple(
+        _as_int(n, "retained index") for n in _as_list(obj.get("retained", []), "retained")
+    )
+    groups = tuple(_group_from_obj(g, dim, p) for g in _as_list(obj.get("groups", []), "groups"))
     for position, group in enumerate(groups):
         if any(n not in group.anchor_params for n in retained):
             raise ValueError(f"group {position} lacks anchor rows for retained indices")
@@ -304,7 +324,7 @@ def _law_from_obj(obj: Mapping) -> ParamLaw:
     k0 = obj.get("k0")
     if not isinstance(k0, list):
         raise ValueError("law k0 must be a list")
-    velocity = obj.get("velocity", [0] * len(k0))
+    velocity = _as_list(obj.get("velocity", [0] * len(k0)), "law velocity")
     return ParamLaw(
         kind=kind,
         j0=_as_int(obj.get("j0", 0), "j0"),
@@ -351,12 +371,13 @@ def synthetic_spec_from_obj(obj: Mapping) -> SyntheticSpec:
     if not isinstance(raw_profiles, list) or not raw_profiles:
         raise ValueError("spec requires a nonempty profile list")
     for raw in raw_profiles:
+        raw = _as_object(raw, "spec profile")
         field = _entries_from_obj(raw.get("entries", []), dim, p)
         law_obj = raw.get("law")
         if not isinstance(law_obj, Mapping):
             raise ValueError("each profile requires a law object")
         profiles.append(PlantedProfile(field, _law_from_obj(law_obj)))
-    noise = obj.get("noise") or {}
+    noise = _as_object(obj.get("noise") or {}, "noise")
     return SyntheticSpec(
         dim=dim,
         p=p,

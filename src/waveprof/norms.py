@@ -120,12 +120,16 @@ def _cell_integral(
     layers: Sequence[list[_Item]],
     dim: int,
     resolution: int,
-    evaluate: Callable[[list[float]], float],
-) -> float:
-    """Integrate evaluate(S_1(x), ..., S_m(x)) dx over R^d exactly by cells.
+    evaluate: Callable[[list[float]], tuple[float, ...]],
+    outputs: int,
+) -> tuple[float, ...]:
+    """Integrate each of the ``outputs`` components of evaluate(S_1(x), ..., S_m(x)) dx.
 
-    ``evaluate`` is called once per constant cell with the accumulated layer
-    values; cells not covered by any box are skipped.
+    The integral over R^d is exact by cells: ``evaluate`` is called once per
+    constant cell with the accumulated layer values and returns one value per
+    output; cells not covered by any box are skipped.  Each layer's weights
+    accumulate in the order its items are listed, whatever the other layers
+    hold, so a layer's values do not depend on which layers share the tree.
     """
     tagged = [
         (layer_id, lo, side_exp, weight)
@@ -133,7 +137,7 @@ def _cell_integral(
         for (lo, side_exp, weight) in items
     ]
     if not tagged:
-        return 0.0
+        return (0.0,) * outputs
     extent = max(
         max(hi, -lo_c)
         for (_, lo, side_exp, _) in tagged
@@ -142,7 +146,7 @@ def _cell_integral(
     root_exp = max(1, (extent - 1).bit_length() + 1)
     root_lo = (-(1 << (root_exp - 1)),) * dim
 
-    pieces: list[float] = []
+    pieces: list[list[float]] = [[] for _ in range(outputs)]
 
     def recurse(cell_lo: tuple[int, ...], cell_exp: int, items, acc: list[float]) -> None:
         cell_hi = tuple(c + (1 << cell_exp) for c in cell_lo)
@@ -158,9 +162,10 @@ def _cell_integral(
                 partial.append((layer_id, lo, side_exp, weight))
         if not partial:
             if any(acc):
-                value = evaluate(acc)
-                if value != 0.0:
-                    pieces.append(value * math.ldexp(1.0, (cell_exp - resolution) * dim))
+                volume = math.ldexp(1.0, (cell_exp - resolution) * dim)
+                for out, value in zip(pieces, evaluate(acc)):
+                    if value != 0.0:
+                        out.append(value * volume)
             return
         # Boundaries are integral, so subdivision always terminates by side 1.
         half = 1 << (cell_exp - 1)
@@ -169,7 +174,15 @@ def _cell_integral(
             recurse(child, cell_exp - 1, partial, acc)
 
     recurse(root_lo, root_exp, tagged, [0.0] * len(layers))
-    return math.fsum(pieces)
+    return tuple(math.fsum(out) for out in pieces)
+
+
+def _bounding_box(items: list[_Item]) -> list[tuple[int, int]]:
+    """Per-axis half-open integer interval [lo, hi) covering every box."""
+    return [
+        (min(lo[c] for lo, _, _ in items), max(lo[c] + (1 << e) for lo, e, _ in items))
+        for c in range(len(items[0][0]))
+    ]
 
 
 def lp_norm(field: CoeffField) -> float:
@@ -184,35 +197,48 @@ def lp_norm(field: CoeffField) -> float:
     half_p = field.p / 2.0
     resolution = _finest_resolution([field])
     items = _square_items(field, resolution)
-    total = _cell_integral(
-        [items], field.dim, resolution, lambda acc: acc[0] ** half_p
+    (total,) = _cell_integral(
+        [items], field.dim, resolution, lambda acc: (acc[0] ** half_p,), 1
     )
     return total ** (1.0 / field.p)
 
 
-def cross_square_integral(f: CoeffField, g: CoeffField) -> float:
-    """Integral of S_f(x) * S_g(x)**(p/2 - 1) dx on the shared cell arrangement.
+def cross_square_pair(f: CoeffField, g: CoeffField) -> tuple[float, float]:
+    """Both cross-square integrals of a pair, from one pass over their cells.
 
-    Requires p > 2; the p == 2 case is trivial and rejected here so callers
-    state their convention explicitly.
+    Returns (integral of S_f * S_g**(p/2 - 1), integral of S_g * S_f**(p/2 - 1)),
+    each bit-identical to a pass over that order alone.  Requires p > 2; the
+    p == 2 case is trivial and rejected here so callers state their convention
+    explicitly.  When the bounding boxes of the two supports are disjoint on
+    some axis no cell carries both, so both integrals are 0.0 and no cell tree
+    is built.
     """
     if f.dim != g.dim or f.p != g.p:
         raise ValueError("fields must share dimension and reference exponent")
     if f.p <= 2.0:
         raise ValueError("cross-square integral requires p > 2")
     if not f.entries or not g.entries:
-        return 0.0
-    exponent = f.p / 2.0 - 1.0
+        return (0.0, 0.0)
     resolution = _finest_resolution([f, g])
-    layers = [_square_items(f, resolution), _square_items(g, resolution)]
+    f_items = _square_items(f, resolution)
+    g_items = _square_items(g, resolution)
+    for (f_lo, f_hi), (g_lo, g_hi) in zip(_bounding_box(f_items), _bounding_box(g_items)):
+        if f_hi <= g_lo or g_hi <= f_lo:
+            return (0.0, 0.0)
+    exponent = f.p / 2.0 - 1.0
 
-    def evaluate(acc: list[float]) -> float:
+    def evaluate(acc: list[float]) -> tuple[float, float]:
         sf, sg = acc
         if sf == 0.0 or sg == 0.0:
-            return 0.0
-        return sf * sg**exponent
+            return (0.0, 0.0)
+        return (sf * sg**exponent, sg * sf**exponent)
 
-    return _cell_integral(layers, f.dim, resolution, evaluate)
+    return _cell_integral([f_items, g_items], f.dim, resolution, evaluate, 2)
+
+
+def cross_square_integral(f: CoeffField, g: CoeffField) -> float:
+    """Integral of S_f(x) * S_g(x)**(p/2 - 1) dx on the shared cell arrangement."""
+    return cross_square_pair(f, g)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -268,7 +268,8 @@ def generate(spec: SyntheticSpec) -> tuple[tuple[CoeffField, ...], Decomposition
 
     fields = []
     for n in retained:
-        *_, acc = partial_sums(groups, n, spec.dim, spec.p)
+        placed = [transform(g.profile, g.anchor_affine(n)) for g in groups]
+        *_, acc = partial_sums(placed, spec.dim, spec.p)
         fields.append(acc)
     if spec.noise_count:
         stream = SeededStream(spec.seed)

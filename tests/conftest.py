@@ -72,6 +72,37 @@ def random_affine(
     return DyadicAffine(scale, DyadicRationalVec(nums, exp))
 
 
+def _square_function_grids(fields) -> tuple[list[np.ndarray], float]:
+    """Square functions of ``fields`` rendered on one dense grid, and its cell volume.
+
+    The grid sits at the finest resolution present in any of the fields and
+    spans the bounding box of all their cubes.
+    """
+    resolution = max(i.scale + i.shift.denom_exp for f in fields for i in f.entries)
+    dim = fields[0].dim
+    boxes = []
+    for field in fields:
+        rows = []
+        for index, amp in sorted(field.entries.items(), key=lambda kv: str(kv[0])):
+            stretch = resolution - index.scale - index.shift.denom_exp
+            lo = tuple(n << stretch for n in index.shift.numerators)
+            side = 1 << (resolution - index.scale)
+            weight = amp * amp * 2.0 ** (2.0 * field.dim / field.p * index.scale)
+            rows.append((lo, side, weight))
+        boxes.append(rows)
+    every = [box for rows in boxes for box in rows]
+    mins = [min(b[0][axis] for b in every) for axis in range(dim)]
+    maxs = [max(b[0][axis] + b[1] for b in every) for axis in range(dim)]
+    grids = []
+    for rows in boxes:
+        grid = np.zeros(tuple(hi - lo for lo, hi in zip(mins, maxs)))
+        for lo, side, weight in rows:
+            sel = tuple(slice(lo[axis] - mins[axis], lo[axis] - mins[axis] + side) for axis in range(dim))
+            grid[sel] += weight
+        grids.append(grid)
+    return grids, math.ldexp(1.0, -resolution * dim)
+
+
 def grid_lp_oracle(field: CoeffField) -> float:
     """Brute-force Riemann sum of the square function on the finest dyadic grid.
 
@@ -80,20 +111,20 @@ def grid_lp_oracle(field: CoeffField) -> float:
     """
     if not field.entries:
         return 0.0
-    resolution = max(i.scale + i.shift.denom_exp for i in field.entries)
-    boxes = []
-    for index, amp in sorted(field.entries.items(), key=lambda kv: str(kv[0])):
-        stretch = resolution - index.scale - index.shift.denom_exp
-        lo = tuple(n << stretch for n in index.shift.numerators)
-        side = 1 << (resolution - index.scale)
-        weight = amp * amp * 2.0 ** (2.0 * field.dim / field.p * index.scale)
-        boxes.append((lo, side, weight))
-    mins = [min(b[0][axis] for b in boxes) for axis in range(field.dim)]
-    maxs = [max(b[0][axis] + b[1] for b in boxes) for axis in range(field.dim)]
-    grid = np.zeros(tuple(hi - lo for lo, hi in zip(mins, maxs)))
-    for lo, side, weight in boxes:
-        sel = tuple(slice(lo[axis] - mins[axis], lo[axis] - mins[axis] + side) for axis in range(field.dim))
-        grid[sel] += weight
-    cell_volume = math.ldexp(1.0, -resolution * field.dim)
+    (grid,), cell_volume = _square_function_grids([field])
     total = float((grid ** (field.p / 2.0)).sum()) * cell_volume
     return total ** (1.0 / field.p)
+
+
+def grid_cross_oracle(f: CoeffField, g: CoeffField) -> tuple[float, float]:
+    """Brute-force (integral of S_f * S_g**(p/2 - 1), integral of S_g * S_f**(p/2 - 1)).
+
+    Both square functions are rendered on one dense grid at the finest
+    resolution of the pair, independently of the library's cell tree.
+    """
+    (sf, sg), cell_volume = _square_function_grids([f, g])
+    exponent = f.p / 2.0 - 1.0
+    return (
+        float((sf * sg**exponent).sum()) * cell_volume,
+        float((sg * sf**exponent).sum()) * cell_volume,
+    )

@@ -164,6 +164,16 @@ class TestDecompose:
         assert exc.value.code == 2
         assert not out.exists()
 
+    def test_nan_besov_input_exponent_exits_2(self, corpus, capsys):
+        tmp, corpus_dir, _ = corpus
+        config = dict(CONFIG_OBJ, space={"kind": "besov", "p": 4.0, "a": "nan", "q": 4.0})
+        config_path = tmp / "nan.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp / "r.json"
+        assert main(["decompose", str(corpus_dir), "--config", str(config_path), "--out", str(out)]) == 2
+        assert "input exponents must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_determinism(self, corpus):
         tmp, corpus_dir, config_path = corpus
         first, second = tmp / "r1.json", tmp / "r2.json"
@@ -196,6 +206,57 @@ class TestVerify:
         report.write_text(json.dumps(stored))
         assert main(["verify", str(report), str(corpus_dir)]) == 2
         assert "entries must be a list" in capsys.readouterr().err
+
+
+def _spec_profile(spec):
+    spec["profiles"][0] = 1
+    return "spec profile must be an object"
+
+
+def _spec_entry(spec):
+    spec["profiles"][0]["entries"] = [7]
+    return "entry must be an object"
+
+
+def _report_member(report):
+    report["decomposition"]["groups"][0]["members"][0] = 3
+    return "group member must be an object"
+
+
+def _anchor_row(report):
+    n, j, _ = report["decomposition"]["groups"][0]["anchor"][0]
+    report["decomposition"]["groups"][0]["anchor"][0] = [n, j, 5]
+    return "anchor row shift must be a list"
+
+
+@pytest.mark.parametrize(
+    "command, corrupt",
+    [
+        ("generate", _spec_profile),
+        ("generate", _spec_entry),
+        ("verify", _report_member),
+        ("verify", _anchor_row),
+    ],
+    ids=["spec-profile", "spec-entry", "report-member", "anchor-row"],
+)
+def test_malformed_json_shape_exits_2(corpus, capsys, command, corrupt):
+    tmp, corpus_dir, config_path = corpus
+    if command == "generate":
+        spec = json.loads(json.dumps(SPEC_OBJ))
+        message = corrupt(spec)
+        path = tmp / "bad_spec.json"
+        path.write_text(json.dumps(spec))
+        argv = ["generate", str(path), str(tmp / "bad_corpus")]
+    else:
+        report = tmp / "report.json"
+        assert main(["decompose", str(corpus_dir), "--config", str(config_path), "--out", str(report)]) == 0
+        stored = json.loads(report.read_text())
+        message = corrupt(stored)
+        report.write_text(json.dumps(stored))
+        argv = ["verify", str(report), str(corpus_dir)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 class TestNorms:

@@ -1,8 +1,10 @@
 """Golden digests of decompose reports and bit-level pins of the remainder path.
 
-The digests fix every byte of two small reports: one in Lebesgue mode whose
+The digests fix every byte of three small reports: one in Lebesgue mode whose
 cross tables are nonzero, one in Besov mode whose remainders are nonzero
-(noise survives the stopping rule).  Any change to extraction order, the
+(noise survives the stopping rule), and a two-dimensional one in Lebesgue mode
+whose profiles carry dyadic-rational shifts and whose cross tables mix zero
+and nonzero values.  Any change to extraction order, the
 summation order of reconstructions or the report schema shows up here.
 """
 
@@ -13,17 +15,20 @@ import json
 
 import pytest
 
+from waveprof import extract, norms
 from waveprof.cli import main
 from waveprof.extract import (
     ExtractConfig,
     LpInput,
+    extract_profiles,
     remainder,
     remainder_space_norm,
     verify,
 )
-from waveprof.field import CoeffField
-from waveprof.io_json import decomposition_from_obj
-from conftest import lattice_index
+from waveprof.field import CoeffField, transform
+from waveprof.io_json import config_from_obj, decomposition_from_obj, synthetic_spec_from_obj
+from waveprof.synth import generate
+from conftest import cube_bounds, lattice_index
 
 
 def _entry(gen, scale, shift, amp):
@@ -94,9 +99,46 @@ BESOV_CONFIG = {
     "remainder": [4.0, 4.0],
 }
 
+
+def _entry_2d(gen, scale, shift, amp):
+    return {"i": gen, "j": scale, "k": list(shift), "denom_exp": 0, "amp": amp}
+
+
+def _law_2d(kind, k0, velocity=(0, 0), scale_step=0):
+    return {"kind": kind, "j0": 0, "k0": list(k0), "velocity": list(velocity),
+            "scale_step": scale_step}
+
+
+# A stationary profile, one concentrating inside it whose anchor sits one scale
+# finer than its other entry (so the extracted profile has a half-integer
+# shift), and one translating away: the first two overlap at every n and the
+# third meets neither, so the cross tables hold zeros and nonzeros.
+LP_2D_SPEC = {
+    "dimension": 2,
+    "p": 4.0,
+    "n_count": 6,
+    "seed": 11,
+    "profiles": [
+        {
+            "entries": [_entry_2d(3, 1, (0, 0), 1.0), _entry_2d(1, 0, (0, 0), 0.5),
+                        _entry_2d(2, 0, (1, -1), -0.35)],
+            "law": _law_2d("constant", (0, 0)),
+        },
+        {
+            "entries": [_entry_2d(1, 1, (1, 1), -0.8), _entry_2d(2, 0, (0, 1), 0.3)],
+            "law": _law_2d("scaling", (0, 0), scale_step=1),
+        },
+        {
+            "entries": [_entry_2d(2, 0, (0, 0), 0.6), _entry_2d(1, 0, (1, 0), 0.25)],
+            "law": _law_2d("translation", (1, 2), velocity=(7, 0)),
+        },
+    ],
+}
+
 GOLDEN = {
     "lp": "12d8bdc58f7f930d88e778fa4e076cf3bd7e5fee0315335e4b5a183bd2585e8f",
     "besov": "bb6eadd25b23d4c63be8afb252d67ca6c7ac422fcfec935dd049da91ed4ca780",
+    "lp2d": "3eaf670bab2c1339fda27f12c93dcc2ae422900f6c7d11522e69e90f6a3b3d00",
 }
 
 
@@ -113,15 +155,26 @@ def _decompose(tmp_path, spec, config):
 
 @pytest.mark.parametrize(
     "name, spec, config",
-    [("lp", LP_SPEC, LP_CONFIG), ("besov", BESOV_SPEC, BESOV_CONFIG)],
+    [
+        ("lp", LP_SPEC, LP_CONFIG),
+        ("besov", BESOV_SPEC, BESOV_CONFIG),
+        ("lp2d", LP_2D_SPEC, LP_CONFIG),
+    ],
 )
 def test_report_digest(tmp_path, name, spec, config):
     text = _decompose(tmp_path, spec, config)
     report = json.loads(text)
     verification = report["verification"]
+    cross_values = [v for c in verification["cross"] for v in c["values"]]
     if name == "lp":
         assert len(report["decomposition"]["groups"]) >= 3
-        assert any(v != 0.0 for c in verification["cross"] for v in c["values"])
+        assert any(v != 0.0 for v in cross_values)
+    elif name == "lp2d":
+        groups = report["decomposition"]["groups"]
+        assert len(groups) == 3
+        assert any(e["denom_exp"] > 0 for g in groups for e in g["profile"])
+        assert any(v == 0.0 for v in cross_values)
+        assert any(v != 0.0 for v in cross_values)
     else:
         assert any(v != 0.0 for v in verification["remainders"][-1]["norms"])
     assert hashlib.sha256(text).hexdigest() == GOLDEN[name]
@@ -166,3 +219,52 @@ def test_remainder_is_input_minus_partial_sum():
             remainder_space_norm(remainder(dec, row.level, n), config) for n in dec.retained
         )
         assert row.norms == expected
+
+
+def _hull(field):
+    bounds = [cube_bounds(index) for index in field.entries]
+    return [
+        (min(b[axis][0] for b in bounds), max(b[axis][1] for b in bounds))
+        for axis in range(field.dim)
+    ]
+
+
+def test_verify_makes_one_cross_pass_per_overlapping_pair(monkeypatch):
+    fields, _ = generate(synthetic_spec_from_obj(LP_SPEC))
+    config = config_from_obj(LP_CONFIG)
+    dec = extract_profiles(fields, config)
+    groups, ns = len(dec.groups), dec.retained
+
+    layer_counts = []
+    cell_integral = norms._cell_integral
+
+    def counting_cell_integral(layers, *args):
+        layer_counts.append(len(layers))
+        return cell_integral(layers, *args)
+
+    transforms = []
+    field_transform = extract.transform
+
+    def counting_transform(*args):
+        transforms.append(args)
+        return field_transform(*args)
+
+    monkeypatch.setattr(norms, "_cell_integral", counting_cell_integral)
+    monkeypatch.setattr(extract, "transform", counting_transform)
+    report = verify(dec, config)
+
+    overlapping = 0
+    for n in ns:
+        hulls = [_hull(transform(g.profile, g.anchor_affine(n))) for g in dec.groups]
+        for i in range(groups):
+            for k in range(i + 1, groups):
+                overlapping += all(
+                    lo_i < hi_k and lo_k < hi_i
+                    for (lo_i, hi_i), (lo_k, hi_k) in zip(hulls[i], hulls[k])
+                )
+    assert 0 < overlapping < groups * (groups - 1) // 2 * len(ns)
+    assert layer_counts.count(2) == overlapping
+    assert len(transforms) == groups * len(ns)
+    assert [(c.first, c.second) for c in report.cross] == [
+        (i, k) for i in range(groups) for k in range(groups) if i != k
+    ]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,18 +10,27 @@ from hypothesis import strategies as st
 
 from waveprof.dyadic import DyadicRationalVec, WaveletIndex
 from waveprof.field import CoeffField, scale, transform
+from waveprof import norms
 from waveprof.norms import (
     BesovParams,
     besov_norm,
     coeff_lp,
     cross_square_integral,
+    cross_square_pair,
     embedding_chain_check,
     interpolation_check,
     lp_norm,
     norm_report,
     sup_amplitude,
 )
-from conftest import grid_lp_oracle, lattice_index, random_affine, random_field, single_entry_field
+from conftest import (
+    grid_cross_oracle,
+    grid_lp_oracle,
+    lattice_index,
+    random_affine,
+    random_field,
+    single_entry_field,
+)
 
 
 def fld(p, *entries, dim=1):
@@ -264,6 +274,97 @@ class TestCrossSquareIntegral:
         f = single_entry_field(1, 4.0, 1.0)
         g = single_entry_field(1, 4.0, 1.0, scale=1, shift=(1,))
         assert cross_square_integral(f, g) == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-12)
+
+
+def _pair(seed: int, dim: int, p: float) -> tuple[CoeffField, CoeffField]:
+    rng = np.random.default_rng(seed)
+    shape = dict(dim=dim, p=p, max_entries=6, scale_lo=-2, scale_hi=2, shift_bound=3, denom_exp_max=2)
+    return random_field(rng, **shape), random_field(rng, **shape)
+
+
+def _bounds(field: CoeffField) -> list[tuple[Fraction, Fraction]]:
+    """Exact per-axis hull [lo, hi) of the field's cubes."""
+    corners = [
+        tuple(Fraction(c, 1 << i.shift.denom_exp) * Fraction(2) ** -i.scale for c in i.shift.numerators)
+        for i in field.entries
+    ]
+    sides = [Fraction(2) ** -i.scale for i in field.entries]
+    return [
+        (min(c[axis] for c in corners), max(c[axis] + s for c, s in zip(corners, sides)))
+        for axis in range(field.dim)
+    ]
+
+
+def _dyadic(value: Fraction) -> tuple[int, int]:
+    exp = value.denominator.bit_length() - 1
+    assert value.denominator == 1 << exp
+    return value.numerator, exp
+
+
+def _translated(field: CoeffField, offset: list[Fraction]) -> CoeffField:
+    """The field with every cube moved by ``offset`` in x-space."""
+    moved = {}
+    for index, amp in field.entries.items():
+        parts = [_dyadic(o * Fraction(2) ** index.scale) for o in offset]
+        exp = max(e for _, e in parts)
+        step = DyadicRationalVec(tuple(n << (exp - e) for n, e in parts), exp)
+        moved[WaveletIndex(index.gen, index.scale, index.shift + step)] = amp
+    return CoeffField(field.dim, field.p, moved)
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestCrossSquarePair:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.sampled_from([3.0, 4.0, 5.0]))
+    def test_swapping_the_pair_swaps_the_outputs_bit_for_bit(self, seed, dim, p):
+        f, g = _pair(seed, dim, p)
+        assert _bits(cross_square_pair(f, g)) == _bits(cross_square_pair(g, f)[::-1])
+        assert _bits([cross_square_integral(f, g)]) == _bits(cross_square_pair(f, g)[:1])
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.sampled_from([3.0, 4.0, 5.0]))
+    def test_grid_oracle_agreement(self, seed, dim, p):
+        f, g = _pair(seed, dim, p)
+        expected = grid_cross_oracle(f, g)
+        got = cross_square_pair(f, g)
+        assert got[0] == pytest.approx(expected[0], rel=1e-12)
+        assert got[1] == pytest.approx(expected[1], rel=1e-12)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2]),
+        st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(3)]),
+    )
+    def test_separated_or_touching_supports_build_no_tree(self, seed, dim, gap):
+        # g is moved so that on the first axis it starts ``gap`` past the end
+        # of f (gap 0: the hulls touch), while on the other axes both hulls
+        # start together and overlap.
+        f, g = _pair(seed, dim, 4.0)
+        f_hull, g_hull = _bounds(f), _bounds(g)
+        offset = [f_hull[0][1] - g_hull[0][0] + gap] + [
+            f_lo - g_lo for (f_lo, _), (g_lo, _) in zip(f_hull[1:], g_hull[1:])
+        ]
+        h = _translated(g, offset)
+        assert _bounds(h)[0][0] == f_hull[0][1] + gap
+
+        def no_tree(*args, **kwargs):
+            raise AssertionError("disjoint supports must not build a cell tree")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(norms, "_cell_integral", no_tree)
+            assert _bits(cross_square_pair(f, h)) == _bits((0.0, 0.0))
+            assert _bits(cross_square_pair(h, f)) == _bits((0.0, 0.0))
+
+    def test_rejects_p2_and_mismatched_fields(self):
+        with pytest.raises(ValueError):
+            cross_square_pair(single_entry_field(1, 2.0, 1.0), single_entry_field(1, 2.0, 1.0))
+        with pytest.raises(ValueError):
+            cross_square_pair(single_entry_field(1, 4.0, 1.0), single_entry_field(2, 4.0, 1.0))
+
+    def test_empty_field_gives_zero_pair(self):
+        f = single_entry_field(1, 4.0, 1.0)
+        assert cross_square_pair(f, CoeffField.empty(1, 4.0)) == (0.0, 0.0)
 
 
 class TestNormReport:
