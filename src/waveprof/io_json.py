@@ -98,6 +98,12 @@ def _as_object(value: Any, what: str) -> Mapping:
     return value
 
 
+def _required(obj: Mapping, key: str, what: str) -> Any:
+    if key not in obj:
+        raise ValueError(f"{what} lacks the required key {key!r}")
+    return obj[key]
+
+
 # -- coefficient fields ------------------------------------------------------
 
 
@@ -120,8 +126,14 @@ def _entry_from_obj(obj: Any, dim: int) -> tuple[WaveletIndex, float]:
         tuple(_as_int(c, "shift component") for c in k),
         _as_int(obj.get("denom_exp", 0), "denom_exp"),
     )
-    index = WaveletIndex(_as_int(obj["i"], "generator"), _as_int(obj["j"], "scale"), shift)
-    return index, _as_float(obj["amp"], "amplitude")
+    # Runs once per entry of every loaded field, so the keys are read inline
+    # rather than through ``_required``.
+    try:
+        gen, scale_j, amp = obj["i"], obj["j"], obj["amp"]
+    except KeyError as exc:
+        raise ValueError(f"entry lacks the required key {exc.args[0]!r}") from None
+    index = WaveletIndex(_as_int(gen, "generator"), _as_int(scale_j, "scale"), shift)
+    return index, _as_float(amp, "amplitude")
 
 
 def _entries_obj(field: CoeffField) -> list:
@@ -138,9 +150,10 @@ def field_to_obj(field: CoeffField) -> dict:
     return {"dimension": field.dim, "p": field.p, "entries": _entries_obj(field)}
 
 
-def field_from_obj(obj: Mapping) -> CoeffField:
-    dim = _as_int(obj["dimension"], "dimension")
-    p = _as_float(obj["p"], "p")
+def field_from_obj(obj: Any) -> CoeffField:
+    obj = _as_object(obj, "field")
+    dim = _as_int(_required(obj, "dimension", "field"), "dimension")
+    p = _as_float(_required(obj, "p", "field"), "p")
     return _entries_from_obj(obj.get("entries", []), dim, p)
 
 
@@ -164,27 +177,34 @@ def config_to_obj(config: ExtractConfig) -> dict:
     }
 
 
-def config_from_obj(obj: Mapping) -> ExtractConfig:
+def config_from_obj(obj: Any) -> ExtractConfig:
+    obj = _as_object(obj, "config")
     space_obj = obj.get("space")
     if not isinstance(space_obj, Mapping):
         raise ValueError("config requires a space object")
     kind = space_obj.get("kind")
-    p = _as_float(space_obj["p"], "p")
+    p = _as_float(_required(space_obj, "p", "space"), "p")
     if kind == "lp":
         space: LpInput | BesovInput = LpInput(p)
     elif kind == "besov":
-        space = BesovInput(p, _as_float(space_obj["a"], "a"), _as_float(space_obj["q"], "q"))
+        space = BesovInput(
+            p,
+            _as_float(_required(space_obj, "a", "space"), "a"),
+            _as_float(_required(space_obj, "q", "space"), "q"),
+        )
     else:
         raise ValueError(f"unknown space kind {kind!r}")
     remainder = obj.get("remainder")
     if not isinstance(remainder, list) or len(remainder) != 2:
         raise ValueError("remainder must be a two-element list")
     return ExtractConfig(
-        max_iterations=_as_int(obj["max_iterations"], "max_iterations"),
-        tail_window=_as_int(obj["tail_window"], "tail_window"),
-        conv_tol=_as_float(obj["conv_tol"], "conv_tol"),
-        bound_threshold=_as_float(obj["bound_threshold"], "bound_threshold"),
-        stop_epsilon=_as_float(obj["stop_epsilon"], "stop_epsilon"),
+        max_iterations=_as_int(_required(obj, "max_iterations", "config"), "max_iterations"),
+        tail_window=_as_int(_required(obj, "tail_window", "config"), "tail_window"),
+        conv_tol=_as_float(_required(obj, "conv_tol", "config"), "conv_tol"),
+        bound_threshold=_as_float(
+            _required(obj, "bound_threshold", "config"), "bound_threshold"
+        ),
+        stop_epsilon=_as_float(_required(obj, "stop_epsilon", "config"), "stop_epsilon"),
         input_space=space,
         remainder_space=(
             _as_float(remainder[0], "remainder exponent"),
@@ -213,17 +233,17 @@ def _member_from_obj(obj: Any, dim: int) -> GroupMember:
     if not isinstance(shift, list) or len(shift) != dim:
         raise ValueError("member shift must match the dimension")
     rel = DyadicAffine(
-        _as_int(obj["scale"], "scale"),
+        _as_int(_required(obj, "scale", "group member"), "scale"),
         DyadicRationalVec(
             tuple(_as_int(c, "shift component") for c in shift),
             _as_int(obj.get("denom_exp", 0), "denom_exp"),
         ),
     )
     return GroupMember(
-        gen=_as_int(obj["gen"], "generator"),
+        gen=_as_int(_required(obj, "gen", "group member"), "generator"),
         rel_map=rel,
-        amplitude=_as_float(obj["amplitude"], "amplitude"),
-        rank=_as_int(obj["rank"], "rank"),
+        amplitude=_as_float(_required(obj, "amplitude", "group member"), "amplitude"),
+        rank=_as_int(_required(obj, "rank", "group member"), "rank"),
     )
 
 
@@ -269,10 +289,11 @@ def decomposition_to_obj(dec: Decomposition) -> dict:
     }
 
 
-def decomposition_from_obj(obj: Mapping, inputs: Mapping[int, CoeffField]) -> Decomposition:
-    dim = _as_int(obj["dimension"], "dimension")
-    p = _as_float(obj["p"], "p")
-    if len(inputs) != _as_int(obj["count"], "count"):
+def decomposition_from_obj(obj: Any, inputs: Mapping[int, CoeffField]) -> Decomposition:
+    obj = _as_object(obj, "decomposition")
+    dim = _as_int(_required(obj, "dimension", "decomposition"), "dimension")
+    p = _as_float(_required(obj, "p", "decomposition"), "p")
+    if len(inputs) != _as_int(_required(obj, "count", "decomposition"), "count"):
         raise ValueError("input count does not match the stored decomposition")
     for field in inputs.values():
         if field.dim != dim or field.p != p:
@@ -290,8 +311,10 @@ def decomposition_from_obj(obj: Mapping, inputs: Mapping[int, CoeffField]) -> De
         inputs=dict(inputs),
         groups=groups,
         retained=retained,
-        diagnostics=tuple(str(d) for d in obj.get("diagnostics", [])),
-        input_norm_max=_as_float(obj["input_norm_max"], "input_norm_max"),
+        diagnostics=tuple(str(d) for d in _as_list(obj.get("diagnostics", []), "diagnostics")),
+        input_norm_max=_as_float(
+            _required(obj, "input_norm_max", "decomposition"), "input_norm_max"
+        ),
     )
 
 
@@ -363,9 +386,10 @@ def synthetic_spec_to_obj(spec: SyntheticSpec) -> dict:
     return obj
 
 
-def synthetic_spec_from_obj(obj: Mapping) -> SyntheticSpec:
-    dim = _as_int(obj["dimension"], "dimension")
-    p = _as_float(obj["p"], "p")
+def synthetic_spec_from_obj(obj: Any) -> SyntheticSpec:
+    obj = _as_object(obj, "spec")
+    dim = _as_int(_required(obj, "dimension", "spec"), "dimension")
+    p = _as_float(_required(obj, "p", "spec"), "p")
     profiles = []
     raw_profiles = obj.get("profiles")
     if not isinstance(raw_profiles, list) or not raw_profiles:
@@ -382,8 +406,8 @@ def synthetic_spec_from_obj(obj: Mapping) -> SyntheticSpec:
         dim=dim,
         p=p,
         profiles=tuple(profiles),
-        n_count=_as_int(obj["n_count"], "n_count"),
-        seed=_as_int(obj["seed"], "seed"),
+        n_count=_as_int(_required(obj, "n_count", "spec"), "n_count"),
+        seed=_as_int(_required(obj, "seed", "spec"), "seed"),
         noise_amp=_as_float(noise.get("amp", 0.0), "noise amp"),
         noise_count=_as_int(noise.get("count", 0), "noise count"),
     )

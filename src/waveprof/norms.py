@@ -6,10 +6,10 @@ The Lebesgue-equivalent norm integrates the square function
 
 whose p/2 power is piecewise constant on an arrangement of dyadic cubes.  The
 arrangement is resolved exactly: all cube boundaries are integers at a common
-finest resolution, and a recursive power-of-two subdivision splits only cells
-that meet a cube boundary.  Cost is bounded by entry count times the scale
-range, which is the intended desk-scale envelope.  The only rounding is in
-floating-point powers and sums.
+finest resolution, and a power-of-two subdivision splits only cells that meet
+a cube boundary.  Cost is bounded by entry count times the scale range, which
+is the intended desk-scale envelope.  The only rounding is in floating-point
+powers and sums.
 
 Besov-type norms are weighted l^a-in-(generator, shift), l^b-in-scale norms of
 the amplitudes and involve no geometry at all.
@@ -17,12 +17,13 @@ the amplitudes and involve no geometry at all.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
-from .field import CoeffField, order_key
+from .field import CoeffField
 
 _REL_SLACK = 1e-12
 
@@ -47,6 +48,32 @@ class BesovParams:
         return cls(dim * (1.0 / a - 1.0 / p), a, b)
 
 
+def _finite(name: str):
+    """Make an overflow or a non-finite result of a norm a ValueError naming ``name``.
+
+    Scales and amplitudes far out of range overflow float powers (which raise
+    OverflowError) or products (which give inf); either is a bad input, not an
+    internal fault.
+    """
+    message = f"{name} overflows the float range"
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def checked(*args, **kwargs):
+            try:
+                result = fn(*args, **kwargs)
+            except OverflowError:
+                raise ValueError(message) from None
+            values = result if isinstance(result, tuple) else (result,)
+            if not all(map(math.isfinite, values)):
+                raise ValueError(message)
+            return result
+
+        return checked
+
+    return decorate
+
+
 def _lp_of(values: Sequence[float], exponent: float) -> float:
     if not values:
         return 0.0
@@ -60,12 +87,14 @@ def sup_amplitude(field: CoeffField) -> float:
     return max((abs(a) for a in field.entries.values()), default=0.0)
 
 
+@_finite("amplitude l^p norm")
 def coeff_lp(field: CoeffField, exponent: float | None = None) -> float:
     """Plain l^p norm of the amplitude multiset (defaults to the field's p)."""
     e = field.p if exponent is None else float(exponent)
     return _lp_of([abs(a) for a in field.entries.values()], e)
 
 
+@_finite("Besov norm")
 def besov_norm(field: CoeffField, params: BesovParams) -> float:
     """Weighted l^a-per-scale, l^b-across-scales norm of the amplitudes.
 
@@ -97,15 +126,22 @@ _Item = tuple[tuple[int, ...], int, float]
 
 
 def _square_items(field: CoeffField, resolution: int) -> list[_Item]:
-    items: list[_Item] = []
+    """The boxes of ``field`` at ``resolution``, in ``field.order_key`` order of their indices.
+
+    At one scale the box corner is the shift value times a common power of two,
+    so sorting on (scale, corner, generator) gives exactly the ``order_key``
+    order without building its fractions.
+    """
+    keyed = []
     two_d_over_p = 2.0 * field.dim / field.p
-    for index, amp in sorted(field.entries.items(), key=lambda kv: order_key(kv[0])):
+    for index, amp in field.entries.items():
         j, shift = index.scale, index.shift
         stretch = resolution - j - shift.denom_exp
         lo = tuple(n << stretch for n in shift.numerators)
         weight = amp * amp * 2.0 ** (two_d_over_p * j)
-        items.append((lo, resolution - j, weight))
-    return items
+        keyed.append(((j, lo, index.gen), (lo, resolution - j, weight)))
+    keyed.sort(key=lambda pair: pair[0])
+    return [item for _, item in keyed]
 
 
 def _finest_resolution(fields: Sequence[CoeffField]) -> int:
@@ -127,53 +163,65 @@ def _cell_integral(
 
     The integral over R^d is exact by cells: ``evaluate`` is called once per
     constant cell with the accumulated layer values and returns one value per
-    output; cells not covered by any box are skipped.  Each layer's weights
-    accumulate in the order its items are listed, whatever the other layers
-    hold, so a layer's values do not depend on which layers share the tree.
+    output; cells not covered by any box are skipped.
+
+    Along the path from the root to a cell, a box's weight is added at the
+    first (coarsest) cell it covers, so boxes that cover a coarser cell are
+    added earlier, and boxes first covering the same cell are added in the
+    order they are listed.  That order fixes the float sums and so the bits of
+    every result.  It depends only on a layer's own boxes and the root, so a
+    layer's values do not depend on which layers share the tree.
+
+    The tree is walked with an explicit stack, so its depth, bounded by the
+    scale range of the boxes, is not limited by Python's recursion limit.
+    Cells are visited in stack order; ``math.fsum`` rounds the cell pieces
+    exactly once, so that order does not reach the result.
     """
-    tagged = [
-        (layer_id, lo, side_exp, weight)
+    # Each box as (layer, per-axis half-open span (lo, hi), weight).
+    boxes = [
+        (layer_id, tuple((c, c + (1 << side_exp)) for c in lo), weight)
         for layer_id, items in enumerate(layers)
         for (lo, side_exp, weight) in items
     ]
-    if not tagged:
+    if not boxes:
         return (0.0,) * outputs
-    extent = max(
-        max(hi, -lo_c)
-        for (_, lo, side_exp, _) in tagged
-        for lo_c, hi in ((c, c + (1 << side_exp)) for c in lo)
-    )
+    extent = max(max(hi, -lo) for _, spans, _ in boxes for lo, hi in spans)
     root_exp = max(1, (extent - 1).bit_length() + 1)
-    root_lo = (-(1 << (root_exp - 1)),) * dim
+    root = ((-(1 << (root_exp - 1)), 1 << (root_exp - 1)),) * dim
 
     pieces: list[list[float]] = [[] for _ in range(outputs)]
-
-    def recurse(cell_lo: tuple[int, ...], cell_exp: int, items, acc: list[float]) -> None:
-        cell_hi = tuple(c + (1 << cell_exp) for c in cell_lo)
-        acc = list(acc)
+    # Children share their parent's accumulator until a covering box is added.
+    stack = [(root, root_exp, boxes, [0.0] * len(layers))]
+    while stack:
+        cell, cell_exp, boxes, acc = stack.pop()
         partial = []
-        for layer_id, lo, side_exp, weight in items:
-            side = 1 << side_exp
-            if any(lo[c] + side <= cell_lo[c] or cell_hi[c] <= lo[c] for c in range(dim)):
-                continue
-            if all(lo[c] <= cell_lo[c] and cell_hi[c] <= lo[c] + side for c in range(dim)):
-                acc[layer_id] += weight
+        copied = False
+        for box in boxes:
+            layer_id, spans, weight = box
+            covers = True
+            for (lo, hi), (cell_lo, cell_hi) in zip(spans, cell):
+                if hi <= cell_lo or cell_hi <= lo:
+                    break
+                if cell_lo < lo or hi < cell_hi:
+                    covers = False
             else:
-                partial.append((layer_id, lo, side_exp, weight))
-        if not partial:
-            if any(acc):
-                volume = math.ldexp(1.0, (cell_exp - resolution) * dim)
-                for out, value in zip(pieces, evaluate(acc)):
-                    if value != 0.0:
-                        out.append(value * volume)
-            return
-        # Boundaries are integral, so subdivision always terminates by side 1.
-        half = 1 << (cell_exp - 1)
-        for offsets in product((0, half), repeat=dim):
-            child = tuple(c + o for c, o in zip(cell_lo, offsets))
-            recurse(child, cell_exp - 1, partial, acc)
-
-    recurse(root_lo, root_exp, tagged, [0.0] * len(layers))
+                if not covers:
+                    partial.append(box)
+                    continue
+                if not copied:
+                    acc = acc.copy()
+                    copied = True
+                acc[layer_id] += weight
+        if partial:
+            # Boundaries are integral, so subdivision always terminates by side 1.
+            halves = [((lo, (lo + hi) >> 1), ((lo + hi) >> 1, hi)) for lo, hi in cell]
+            for child in product(*halves):
+                stack.append((child, cell_exp - 1, partial, acc))
+        elif any(acc):
+            volume = math.ldexp(1.0, (cell_exp - resolution) * dim)
+            for out, value in zip(pieces, evaluate(acc)):
+                if value != 0.0:
+                    out.append(value * volume)
     return tuple(math.fsum(out) for out in pieces)
 
 
@@ -185,6 +233,7 @@ def _bounding_box(items: list[_Item]) -> list[tuple[int, int]]:
     ]
 
 
+@_finite("Lebesgue norm")
 def lp_norm(field: CoeffField) -> float:
     """Lebesgue-equivalent norm: the L^{p/2} mass of the square function, rooted.
 
@@ -203,6 +252,7 @@ def lp_norm(field: CoeffField) -> float:
     return total ** (1.0 / field.p)
 
 
+@_finite("cross-square integral")
 def cross_square_pair(f: CoeffField, g: CoeffField) -> tuple[float, float]:
     """Both cross-square integrals of a pair, from one pass over their cells.
 

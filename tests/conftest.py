@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 from hypothesis import settings
@@ -128,3 +129,56 @@ def grid_cross_oracle(f: CoeffField, g: CoeffField) -> tuple[float, float]:
         float((sf * sg**exponent).sum()) * cell_volume,
         float((sg * sf**exponent).sum()) * cell_volume,
     )
+
+
+def recursive_cell_integral(layers, dim, resolution, evaluate, outputs) -> tuple[float, ...]:
+    """Reference for ``norms._cell_integral``: the same cell tree, walked recursively.
+
+    Every cell copies its accumulator and adds, in list order, the weights of
+    the boxes that cover it; cells meeting a box boundary are split in two
+    along every axis.  The library kernel must give these results bit for bit.
+    Depth is limited by Python's recursion limit.
+    """
+    tagged = [
+        (layer_id, lo, side_exp, weight)
+        for layer_id, items in enumerate(layers)
+        for (lo, side_exp, weight) in items
+    ]
+    if not tagged:
+        return (0.0,) * outputs
+    extent = max(
+        max(hi, -lo_c)
+        for (_, lo, side_exp, _) in tagged
+        for lo_c, hi in ((c, c + (1 << side_exp)) for c in lo)
+    )
+    root_exp = max(1, (extent - 1).bit_length() + 1)
+    root_lo = (-(1 << (root_exp - 1)),) * dim
+
+    pieces: list[list[float]] = [[] for _ in range(outputs)]
+
+    def recurse(cell_lo, cell_exp, items, acc) -> None:
+        cell_hi = tuple(c + (1 << cell_exp) for c in cell_lo)
+        acc = list(acc)
+        partial = []
+        for layer_id, lo, side_exp, weight in items:
+            side = 1 << side_exp
+            if any(lo[c] + side <= cell_lo[c] or cell_hi[c] <= lo[c] for c in range(dim)):
+                continue
+            if all(lo[c] <= cell_lo[c] and cell_hi[c] <= lo[c] + side for c in range(dim)):
+                acc[layer_id] += weight
+            else:
+                partial.append((layer_id, lo, side_exp, weight))
+        if not partial:
+            if any(acc):
+                volume = math.ldexp(1.0, (cell_exp - resolution) * dim)
+                for out, value in zip(pieces, evaluate(acc)):
+                    if value != 0.0:
+                        out.append(value * volume)
+            return
+        half = 1 << (cell_exp - 1)
+        for offsets in product((0, half), repeat=dim):
+            child = tuple(c + o for c, o in zip(cell_lo, offsets))
+            recurse(child, cell_exp - 1, partial, acc)
+
+    recurse(root_lo, root_exp, tagged, [0.0] * len(layers))
+    return tuple(math.fsum(out) for out in pieces)

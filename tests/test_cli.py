@@ -210,23 +210,42 @@ class TestVerify:
 
 def _spec_profile(spec):
     spec["profiles"][0] = 1
-    return "spec profile must be an object"
+    return spec, "spec profile must be an object"
 
 
 def _spec_entry(spec):
     spec["profiles"][0]["entries"] = [7]
-    return "entry must be an object"
+    return spec, "entry must be an object"
 
 
 def _report_member(report):
     report["decomposition"]["groups"][0]["members"][0] = 3
-    return "group member must be an object"
+    return report, "group member must be an object"
 
 
 def _anchor_row(report):
     n, j, _ = report["decomposition"]["groups"][0]["anchor"][0]
     report["decomposition"]["groups"][0]["anchor"][0] = [n, j, 5]
-    return "anchor row shift must be a list"
+    return report, "anchor row shift must be a list"
+
+
+def _report_diagnostics(report):
+    report["decomposition"]["diagnostics"] = 5
+    return report, "diagnostics must be a list"
+
+
+def _field_without_dimension(field):
+    del field["dimension"]
+    return field, "field lacks the required key 'dimension'"
+
+
+def _entry_without_amplitude(field):
+    del field["entries"][0]["amp"]
+    return field, "entry lacks the required key 'amp'"
+
+
+def _field_as_list(field):
+    return [1, 2], "field must be an object"
 
 
 @pytest.mark.parametrize(
@@ -236,22 +255,32 @@ def _anchor_row(report):
         ("generate", _spec_entry),
         ("verify", _report_member),
         ("verify", _anchor_row),
+        ("verify", _report_diagnostics),
+        ("norms", _field_without_dimension),
+        ("norms", _entry_without_amplitude),
+        ("norms", _field_as_list),
     ],
-    ids=["spec-profile", "spec-entry", "report-member", "anchor-row"],
+    ids=[
+        "spec-profile", "spec-entry", "report-member", "anchor-row", "report-diagnostics",
+        "field-key", "entry-key", "field-list",
+    ],
 )
 def test_malformed_json_shape_exits_2(corpus, capsys, command, corrupt):
     tmp, corpus_dir, config_path = corpus
     if command == "generate":
-        spec = json.loads(json.dumps(SPEC_OBJ))
-        message = corrupt(spec)
+        spec, message = corrupt(json.loads(json.dumps(SPEC_OBJ)))
         path = tmp / "bad_spec.json"
         path.write_text(json.dumps(spec))
         argv = ["generate", str(path), str(tmp / "bad_corpus")]
+    elif command == "norms":
+        field, message = corrupt(json.loads((corpus_dir / "field_0001.json").read_text()))
+        path = tmp / "bad_field.json"
+        path.write_text(json.dumps(field))
+        argv = ["norms", str(path)]
     else:
         report = tmp / "report.json"
         assert main(["decompose", str(corpus_dir), "--config", str(config_path), "--out", str(report)]) == 0
-        stored = json.loads(report.read_text())
-        message = corrupt(stored)
+        stored, message = corrupt(json.loads(report.read_text()))
         report.write_text(json.dumps(stored))
         argv = ["verify", str(report), str(corpus_dir)]
     capsys.readouterr()
@@ -298,3 +327,31 @@ class TestNorms:
         _, corpus_dir, _ = corpus
         assert main(["norms", str(corpus_dir / "field_0001.json"), "--besov=0,nan,2"]) == 2
         assert "exponents must lie in [1, infinity]" in capsys.readouterr().err
+
+    def test_tree_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        # Scales 600 and -600 put 1202 levels between the root cell and the
+        # finest one; each cube carries mass 1 in S**2, so lp is 2**(1/4).
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({
+            "dimension": 1, "p": 4.0,
+            "entries": [
+                {"i": 1, "j": 600, "k": [0], "denom_exp": 0, "amp": 1.0},
+                {"i": 1, "j": -600, "k": [0], "denom_exp": 0, "amp": 1.0},
+            ],
+        }))
+        assert main(["norms", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["lp"] == 2**0.25
+
+    @pytest.mark.parametrize(
+        "scale, p, amp",
+        [(2000, 4.0, 1.0), (1100, 2.0, 1.0), (0, 2.0, 1e200)],
+        ids=["power-of-square-function", "scale-weight", "squared-amplitude"],
+    )
+    def test_float_overflow_exits_2(self, tmp_path, capsys, scale, p, amp):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "dimension": 1, "p": p,
+            "entries": [{"i": 1, "j": scale, "k": [0], "denom_exp": 0, "amp": amp}],
+        }))
+        assert main(["norms", str(path)]) == 2
+        assert "Lebesgue norm overflows the float range" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from waveprof.dyadic import DyadicRationalVec, WaveletIndex
-from waveprof.field import CoeffField, scale, transform
+from waveprof.field import CoeffField, order_key, scale, transform
 from waveprof import norms
 from waveprof.norms import (
     BesovParams,
@@ -29,6 +29,7 @@ from conftest import (
     lattice_index,
     random_affine,
     random_field,
+    recursive_cell_integral,
     single_entry_field,
 )
 
@@ -365,6 +366,79 @@ class TestCrossSquarePair:
     def test_empty_field_gives_zero_pair(self):
         f = single_entry_field(1, 4.0, 1.0)
         assert cross_square_pair(f, CoeffField.empty(1, 4.0)) == (0.0, 0.0)
+
+
+def _with_recursive_oracle(fn, *args):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(norms, "_cell_integral", recursive_cell_integral)
+        return fn(*args)
+
+
+class TestCellIntegralKernel:
+    """The explicit-stack kernel against the recursive walk it replaced, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "weights, expected",
+        [
+            # (1 + 2**-53) + 2**-53 == 1: the unit box covers the coarser cell
+            # [0, 2), so it comes first although it is listed last.  List
+            # order alone would give 2**-52 + 1 == 1 + 2**-52.
+            ((2.0**-53, 2.0**-53), 0.0),
+            # (1 + 2**-53) + 1.5 * 2**-53 == 1 + 2**-52: boxes first covering
+            # the same cell [0, 1) add in list order; the other order gives
+            # 1 + 2**-51.
+            ((2.0**-53, 1.5 * 2.0**-53), 2.0**-52),
+        ],
+        ids=["coarser-cell-first", "list-order-within-a-cell"],
+    )
+    def test_order_of_the_float_sums(self, weights, expected):
+        items = [((0,), 0, weights[0]), ((0,), 0, weights[1]), ((0,), 1, 1.0)]
+        args = ([items], 1, 0, lambda acc: (acc[0] - 1.0,), 1)
+        assert _bits(norms._cell_integral(*args)) == _bits([expected])
+        assert _bits(recursive_cell_integral(*args)) == _bits([expected])
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]), st.sampled_from([3.0, 4.0, 6.0]))
+    def test_lp_norm_matches_the_recursive_oracle(self, seed, dim, p):
+        f, _ = _pair(seed, dim, p)
+        assert _bits([lp_norm(f)]) == _bits([_with_recursive_oracle(lp_norm, f)])
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]), st.sampled_from([3.0, 4.0, 6.0]))
+    def test_cross_square_pair_matches_the_recursive_oracle(self, seed, dim, p):
+        f, g = _pair(seed, dim, p)
+        assert _bits(cross_square_pair(f, g)) == _bits(_with_recursive_oracle(cross_square_pair, f, g))
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
+    def test_square_items_are_listed_in_order_key_order(self, seed, dim):
+        f, _ = _pair(seed, dim, 4.0)
+        resolution = max(i.scale + i.shift.denom_exp for i in f.entries)
+        expected = [
+            (
+                tuple(n << (resolution - i.scale - i.shift.denom_exp) for n in i.shift.numerators),
+                resolution - i.scale,
+                f.entries[i] * f.entries[i] * 2.0 ** (2.0 * f.dim / f.p * i.scale),
+            )
+            for i in sorted(f.entries, key=order_key)
+        ]
+        assert norms._square_items(f, resolution) == expected
+
+
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "norm, name, entry",
+        [
+            (lp_norm, "Lebesgue norm", (2000, 1.0)),
+            (lambda f: cross_square_pair(f, f), "cross-square integral", (2000, 1.0)),
+            (coeff_lp, "amplitude l^p norm", (0, 1e200)),
+            (lambda f: besov_norm(f, BesovParams(0.0, 4.0, 4.0)), "Besov norm", (0, 1e200)),
+        ],
+        ids=["lp", "cross", "coeff-lp", "besov"],
+    )
+    def test_is_a_value_error_naming_the_norm(self, norm, name, entry):
+        scale_j, amp = entry
+        f = fld(4.0, (lattice_index(1, scale_j, 0), amp))
+        with pytest.raises(ValueError) as caught:
+            norm(f)
+        assert str(caught.value) == f"{name} overflows the float range"
 
 
 class TestNormReport:
