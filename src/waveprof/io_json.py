@@ -126,14 +126,12 @@ def _entry_from_obj(obj: Any, dim: int) -> tuple[WaveletIndex, float]:
         tuple(_as_int(c, "shift component") for c in k),
         _as_int(obj.get("denom_exp", 0), "denom_exp"),
     )
-    # Runs once per entry of every loaded field, so the keys are read inline
-    # rather than through ``_required``.
-    try:
-        gen, scale_j, amp = obj["i"], obj["j"], obj["amp"]
-    except KeyError as exc:
-        raise ValueError(f"entry lacks the required key {exc.args[0]!r}") from None
-    index = WaveletIndex(_as_int(gen, "generator"), _as_int(scale_j, "scale"), shift)
-    return index, _as_float(amp, "amplitude")
+    index = WaveletIndex(
+        _as_int(_required(obj, "i", "entry"), "generator"),
+        _as_int(_required(obj, "j", "entry"), "scale"),
+        shift,
+    )
+    return index, _as_float(_required(obj, "amp", "entry"), "amplitude")
 
 
 def _entries_obj(field: CoeffField) -> list:

@@ -193,10 +193,10 @@ def _cell_integral(
     # Children share their parent's accumulator until a covering box is added.
     stack = [(root, root_exp, boxes, [0.0] * len(layers))]
     while stack:
-        cell, cell_exp, boxes, acc = stack.pop()
+        cell, cell_exp, candidates, acc = stack.pop()
         partial = []
         copied = False
-        for box in boxes:
+        for box in candidates:
             layer_id, spans, weight = box
             covers = True
             for (lo, hi), (cell_lo, cell_hi) in zip(spans, cell):
