@@ -36,7 +36,6 @@ from .norms import (
     NormReport,
     besov_norm,
     coeff_lp,
-    cross_square_integral,
     cross_square_pair,
     embedding_chain_check,
     interpolation_check,
@@ -64,7 +63,7 @@ __all__ = [
     "remainder_space_norm", "verify",
     "CoeffField", "combine", "rank", "split_top", "transform",
     "BesovParams", "EmbeddingChainReport", "InterpolationCheck", "NormReport",
-    "besov_norm", "coeff_lp", "cross_square_integral", "cross_square_pair",
+    "besov_norm", "coeff_lp", "cross_square_pair",
     "embedding_chain_check", "interpolation_check", "lp_norm", "norm_report",
     "sup_amplitude",
     "AlignmentReport", "ParamLaw", "PlantedProfile", "SeededStream",

@@ -44,13 +44,21 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def _load_field(path: Path) -> CoeffField:
+    obj = _load_json(path)
+    try:
+        return field_from_obj(obj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_corpus(directory: Path) -> list[CoeffField]:
     if not directory.is_dir():
         raise ValueError(f"not a directory: {directory}")
     paths = sorted(directory.glob("field_*.json"))
     if not paths:
         raise ValueError(f"no field_*.json files in {directory}")
-    return [field_from_obj(_load_json(p)) for p in paths]
+    return [_load_field(p) for p in paths]
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -103,12 +111,12 @@ def _parse_besov_triple(token: str) -> BesovParams:
     parts = token.split(",")
     if len(parts) != 3:
         raise ValueError(f"--besov expects s,a,b, got {token!r}")
-    values = [io_json._as_float(part.strip(), "besov exponent") for part in parts]
+    values = [io_json._as_float(part, "besov exponent") for part in parts]
     return BesovParams(values[0], values[1], values[2])
 
 
 def _cmd_norms(args: argparse.Namespace) -> int:
-    field = field_from_obj(_load_json(Path(args.field)))
+    field = _load_field(Path(args.field))
     besov_list = [_parse_besov_triple(token) for token in args.besov or []]
     norms = norm_report(field, besov_list)
     obj = {

@@ -15,9 +15,16 @@ from typing import Iterable
 
 def _normalize(numerators: tuple[int, ...], denom_exp: int) -> tuple[tuple[int, ...], int]:
     # Unique representation: either denom_exp == 0 or some numerator is odd.
-    while denom_exp > 0 and all(n % 2 == 0 for n in numerators):
-        numerators = tuple(n // 2 for n in numerators)
-        denom_exp -= 1
+    # The common power of two, the lowest set bit of the numerators' OR, is
+    # divided out in one step, so a huge denom_exp costs no more than 1.
+    if denom_exp > 0:
+        common = 0
+        for n in numerators:
+            common |= n
+        step = min((common & -common).bit_length() - 1, denom_exp) if common else denom_exp
+        if step:
+            numerators = tuple(n >> step for n in numerators)
+            denom_exp -= step
     return numerators, denom_exp
 
 

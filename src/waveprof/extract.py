@@ -29,7 +29,7 @@ from .dyadic import (
     relative_map,
 )
 from .field import CoeffField, combine, rank, transform
-from .norms import BesovParams, besov_norm, cross_square_integral, cross_square_pair, lp_norm
+from .norms import BesovParams, besov_norm, cross_square_pair, lp_norm
 
 STABILITY_TOL = 1e-9
 
@@ -143,7 +143,9 @@ class Decomposition:
 
     Remainders are not materialized; they are reconstructed on demand through
     :func:`remainder`, which makes the reconstruction identity hold by
-    construction for every retained index and level.
+    construction for every retained index and level.  ``input_norm_max`` is
+    the largest input-space norm of the inputs when extraction produced the
+    decomposition, and ``None`` for a planted one from :func:`~waveprof.synth.generate`.
     """
 
     dim: int
@@ -152,7 +154,7 @@ class Decomposition:
     groups: tuple[ProfileGroup, ...]
     retained: tuple[int, ...]
     diagnostics: tuple[str, ...]
-    input_norm_max: float
+    input_norm_max: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inputs", MappingProxyType(dict(self.inputs)))
@@ -375,7 +377,7 @@ def cross_interaction(dec: Decomposition, first: int, second: int, n: int) -> fl
         return 0.0
     f = transform(dec.groups[first].profile, dec.groups[first].anchor_affine(n))
     g = transform(dec.groups[second].profile, dec.groups[second].anchor_affine(n))
-    return cross_square_integral(f, g)
+    return cross_square_pair(f, g)[0]
 
 
 @dataclass(frozen=True)

@@ -74,9 +74,6 @@ class CoeffField:
     def is_lattice(self) -> bool:
         return all(index.on_lattice for index in self.entries)
 
-    def amplitude(self, index: WaveletIndex) -> float:
-        return self.entries.get(index, 0.0)
-
     def without(self, index: WaveletIndex) -> CoeffField:
         """Copy with one component removed."""
         remaining = {k: v for k, v in self.entries.items() if k != index}

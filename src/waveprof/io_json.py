@@ -65,8 +65,7 @@ def dumps_canonical(obj: Any) -> str:
 
 
 def _as_float(value: Any, what: str = "value") -> float:
-    if isinstance(value, bool) or value is None:
-        raise ValueError(f"{what} must be a number")
+    """The one number parser: a JSON number, or a decimal or "inf" string."""
     if isinstance(value, str):
         lowered = value.strip().lower()
         if lowered in ("inf", "+inf", "infinity"):
@@ -77,31 +76,51 @@ def _as_float(value: Any, what: str = "value") -> float:
             return float(lowered)
         except ValueError:
             raise ValueError(f"{what} must be a number, got {value!r}") from None
-    return float(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} lies outside the float range") from None
 
 
-def _as_int(value: Any, what: str = "value") -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer")
+_KINDS = {int: "an integer", list: "a list", dict: "an object", str: "a string"}
+_REQUIRED = object()
+
+
+def _check(value: Any, what: str, kind: type) -> Any:
+    """``value`` as ``kind``: int (never bool), float, list, dict (a JSON object) or str."""
+    if type(value) is kind:
+        return value
+    if kind is float:
+        return _as_float(value, what)
+    if kind is int or not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_KINDS[kind]}")
     return value
 
 
-def _as_list(value: Any, what: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a list")
-    return value
+def _get(obj: Mapping, key: str, what: str, kind: type, default: Any = _REQUIRED) -> Any:
+    """The value under ``key`` of the object ``what``, checked by :func:`_check`.
+
+    A missing key yields ``default``; without one the key is required.
+    """
+    value = obj.get(key, _REQUIRED)
+    if value is _REQUIRED:
+        if default is _REQUIRED:
+            raise ValueError(f"{what} lacks the required key {key!r}")
+        return default
+    if type(value) is kind:  # spares building the label on the common path
+        return value
+    return _check(value, f"{what} {key}", kind)
 
 
-def _as_object(value: Any, what: str) -> Mapping:
-    if not isinstance(value, Mapping):
-        raise ValueError(f"{what} must be an object")
-    return value
-
-
-def _required(obj: Mapping, key: str, what: str) -> Any:
-    if key not in obj:
-        raise ValueError(f"{what} lacks the required key {key!r}")
-    return obj[key]
+def _shift(obj: Mapping, key: str, dim: int, what: str) -> tuple[int, ...]:
+    """The integer shift list under ``key``, one component per axis."""
+    shift = _get(obj, key, what, list)
+    if len(shift) != dim:
+        raise ValueError(f"{what} {key} must be a list matching the dimension")
+    component = f"{what} {key} component"
+    return tuple(_check(c, component, int) for c in shift)
 
 
 # -- coefficient fields ------------------------------------------------------
@@ -118,20 +137,12 @@ def _entry_obj(index: WaveletIndex, amp: float) -> dict:
 
 
 def _entry_from_obj(obj: Any, dim: int) -> tuple[WaveletIndex, float]:
-    obj = _as_object(obj, "entry")
-    k = obj.get("k")
-    if not isinstance(k, list) or len(k) != dim:
-        raise ValueError("entry shift must be a list matching the dimension")
+    obj = _check(obj, "entry", dict)
     shift = DyadicRationalVec(
-        tuple(_as_int(c, "shift component") for c in k),
-        _as_int(obj.get("denom_exp", 0), "denom_exp"),
+        _shift(obj, "k", dim, "entry"), _get(obj, "denom_exp", "entry", int, 0)
     )
-    index = WaveletIndex(
-        _as_int(_required(obj, "i", "entry"), "generator"),
-        _as_int(_required(obj, "j", "entry"), "scale"),
-        shift,
-    )
-    return index, _as_float(_required(obj, "amp", "entry"), "amplitude")
+    index = WaveletIndex(_get(obj, "i", "entry", int), _get(obj, "j", "entry", int), shift)
+    return index, _get(obj, "amp", "entry", float)
 
 
 def _entries_obj(field: CoeffField) -> list:
@@ -139,9 +150,13 @@ def _entries_obj(field: CoeffField) -> list:
     return [_entry_obj(index, amp) for index, amp in ordered]
 
 
-def _entries_from_obj(entries: Any, dim: int, p: float) -> CoeffField:
-    items = [_entry_from_obj(e, dim) for e in _as_list(entries, "entries")]
-    return CoeffField.from_items(dim, p, items)
+def _entries_from_obj(obj: Mapping, key: str, dim: int, p: float) -> CoeffField:
+    """The entry list under ``key``, absent meaning empty, as a field.
+
+    Errors call it ``entries`` whatever its key: a group's ``profile`` is one.
+    """
+    entries = _check(obj.get(key, []), "entries", list)
+    return CoeffField.from_items(dim, p, [_entry_from_obj(e, dim) for e in entries])
 
 
 def field_to_obj(field: CoeffField) -> dict:
@@ -149,10 +164,9 @@ def field_to_obj(field: CoeffField) -> dict:
 
 
 def field_from_obj(obj: Any) -> CoeffField:
-    obj = _as_object(obj, "field")
-    dim = _as_int(_required(obj, "dimension", "field"), "dimension")
-    p = _as_float(_required(obj, "p", "field"), "p")
-    return _entries_from_obj(obj.get("entries", []), dim, p)
+    obj = _check(obj, "field", dict)
+    dim = _get(obj, "dimension", "field", int)
+    return _entries_from_obj(obj, "entries", dim, _get(obj, "p", "field", float))
 
 
 # -- extraction config -------------------------------------------------------
@@ -176,38 +190,29 @@ def config_to_obj(config: ExtractConfig) -> dict:
 
 
 def config_from_obj(obj: Any) -> ExtractConfig:
-    obj = _as_object(obj, "config")
-    space_obj = obj.get("space")
-    if not isinstance(space_obj, Mapping):
-        raise ValueError("config requires a space object")
-    kind = space_obj.get("kind")
-    p = _as_float(_required(space_obj, "p", "space"), "p")
+    obj = _check(obj, "config", dict)
+    space_obj = _get(obj, "space", "config", dict)
+    kind = _get(space_obj, "kind", "space", str)
+    p = _get(space_obj, "p", "space", float)
     if kind == "lp":
         space: LpInput | BesovInput = LpInput(p)
     elif kind == "besov":
         space = BesovInput(
-            p,
-            _as_float(_required(space_obj, "a", "space"), "a"),
-            _as_float(_required(space_obj, "q", "space"), "q"),
+            p, _get(space_obj, "a", "space", float), _get(space_obj, "q", "space", float)
         )
     else:
         raise ValueError(f"unknown space kind {kind!r}")
-    remainder = obj.get("remainder")
-    if not isinstance(remainder, list) or len(remainder) != 2:
+    remainder = _get(obj, "remainder", "config", list)
+    if len(remainder) != 2:
         raise ValueError("remainder must be a two-element list")
     return ExtractConfig(
-        max_iterations=_as_int(_required(obj, "max_iterations", "config"), "max_iterations"),
-        tail_window=_as_int(_required(obj, "tail_window", "config"), "tail_window"),
-        conv_tol=_as_float(_required(obj, "conv_tol", "config"), "conv_tol"),
-        bound_threshold=_as_float(
-            _required(obj, "bound_threshold", "config"), "bound_threshold"
-        ),
-        stop_epsilon=_as_float(_required(obj, "stop_epsilon", "config"), "stop_epsilon"),
+        max_iterations=_get(obj, "max_iterations", "config", int),
+        tail_window=_get(obj, "tail_window", "config", int),
+        conv_tol=_get(obj, "conv_tol", "config", float),
+        bound_threshold=_get(obj, "bound_threshold", "config", float),
+        stop_epsilon=_get(obj, "stop_epsilon", "config", float),
         input_space=space,
-        remainder_space=(
-            _as_float(remainder[0], "remainder exponent"),
-            _as_float(remainder[1], "remainder exponent"),
-        ),
+        remainder_space=tuple(_as_float(q, "remainder exponent") for q in remainder),
     )
 
 
@@ -226,22 +231,14 @@ def _member_obj(member: GroupMember) -> dict:
 
 
 def _member_from_obj(obj: Any, dim: int) -> GroupMember:
-    obj = _as_object(obj, "group member")
-    shift = obj.get("shift")
-    if not isinstance(shift, list) or len(shift) != dim:
-        raise ValueError("member shift must match the dimension")
-    rel = DyadicAffine(
-        _as_int(_required(obj, "scale", "group member"), "scale"),
-        DyadicRationalVec(
-            tuple(_as_int(c, "shift component") for c in shift),
-            _as_int(obj.get("denom_exp", 0), "denom_exp"),
-        ),
-    )
+    what = "group member"
+    obj = _check(obj, what, dict)
+    shift = DyadicRationalVec(_shift(obj, "shift", dim, what), _get(obj, "denom_exp", what, int, 0))
     return GroupMember(
-        gen=_as_int(_required(obj, "gen", "group member"), "generator"),
-        rel_map=rel,
-        amplitude=_as_float(_required(obj, "amplitude", "group member"), "amplitude"),
-        rank=_as_int(_required(obj, "rank", "group member"), "rank"),
+        gen=_get(obj, "gen", what, int),
+        rel_map=DyadicAffine(_get(obj, "scale", what, int), shift),
+        amplitude=_get(obj, "amplitude", what, float),
+        rank=_get(obj, "rank", what, int),
     )
 
 
@@ -257,49 +254,48 @@ def _group_obj(group: ProfileGroup) -> dict:
 
 
 def _group_from_obj(obj: Any, dim: int, p: float) -> ProfileGroup:
-    obj = _as_object(obj, "group")
+    obj = _check(obj, "group", dict)
     anchors = {}
-    for row in _as_list(obj.get("anchor", []), "group anchor"):
+    for row in _get(obj, "anchor", "group", list, []):
         if not (isinstance(row, list) and len(row) == 3):
             raise ValueError("anchor rows must be [n, j, k]")
-        n, j, k = row
-        if not isinstance(k, list) or len(k) != dim:
-            raise ValueError("anchor row shift must be a list matching the dimension")
-        anchors[_as_int(n, "index")] = (
-            _as_int(j, "scale"),
-            tuple(_as_int(c, "shift component") for c in k),
+        row = dict(zip(("index", "scale", "shift"), row))
+        anchors[_get(row, "index", "anchor row", int)] = (
+            _get(row, "scale", "anchor row", int),
+            _shift(row, "shift", dim, "anchor row"),
         )
-    members = tuple(
-        _member_from_obj(m, dim) for m in _as_list(obj.get("members", []), "group members")
-    )
-    return ProfileGroup(anchors, members, _entries_from_obj(obj.get("profile", []), dim, p))
+    members = tuple(_member_from_obj(m, dim) for m in _get(obj, "members", "group", list, []))
+    return ProfileGroup(anchors, members, _entries_from_obj(obj, "profile", dim, p))
 
 
 def decomposition_to_obj(dec: Decomposition) -> dict:
-    return {
+    obj = {
         "dimension": dec.dim,
         "p": dec.p,
         "count": len(dec.inputs),
         "retained": list(dec.retained),
         "diagnostics": list(dec.diagnostics),
-        "input_norm_max": dec.input_norm_max,
         "groups": [_group_obj(g) for g in dec.groups],
     }
+    if dec.input_norm_max is not None:
+        obj["input_norm_max"] = dec.input_norm_max
+    return obj
 
 
 def decomposition_from_obj(obj: Any, inputs: Mapping[int, CoeffField]) -> Decomposition:
-    obj = _as_object(obj, "decomposition")
-    dim = _as_int(_required(obj, "dimension", "decomposition"), "dimension")
-    p = _as_float(_required(obj, "p", "decomposition"), "p")
-    if len(inputs) != _as_int(_required(obj, "count", "decomposition"), "count"):
+    what = "decomposition"
+    obj = _check(obj, what, dict)
+    dim = _get(obj, "dimension", what, int)
+    p = _get(obj, "p", what, float)
+    if len(inputs) != _get(obj, "count", what, int):
         raise ValueError("input count does not match the stored decomposition")
     for field in inputs.values():
         if field.dim != dim or field.p != p:
             raise ValueError("inputs do not match the stored decomposition")
     retained = tuple(
-        _as_int(n, "retained index") for n in _as_list(obj.get("retained", []), "retained")
+        _check(n, "retained index", int) for n in _get(obj, "retained", what, list, [])
     )
-    groups = tuple(_group_from_obj(g, dim, p) for g in _as_list(obj.get("groups", []), "groups"))
+    groups = tuple(_group_from_obj(g, dim, p) for g in _get(obj, "groups", what, list, []))
     for position, group in enumerate(groups):
         if any(n not in group.anchor_params for n in retained):
             raise ValueError(f"group {position} lacks anchor rows for retained indices")
@@ -309,10 +305,8 @@ def decomposition_from_obj(obj: Any, inputs: Mapping[int, CoeffField]) -> Decomp
         inputs=dict(inputs),
         groups=groups,
         retained=retained,
-        diagnostics=tuple(str(d) for d in _as_list(obj.get("diagnostics", []), "diagnostics")),
-        input_norm_max=_as_float(
-            _required(obj, "input_norm_max", "decomposition"), "input_norm_max"
-        ),
+        diagnostics=tuple(str(d) for d in _get(obj, "diagnostics", what, list, [])),
+        input_norm_max=_get(obj, "input_norm_max", what, float, None),
     )
 
 
@@ -339,19 +333,14 @@ def report_to_obj(
 
 
 def _law_from_obj(obj: Mapping) -> ParamLaw:
-    kind = obj.get("kind")
-    if not isinstance(kind, str):
-        raise ValueError("law kind must be a string")
-    k0 = obj.get("k0")
-    if not isinstance(k0, list):
-        raise ValueError("law k0 must be a list")
-    velocity = _as_list(obj.get("velocity", [0] * len(k0)), "law velocity")
     return ParamLaw(
-        kind=kind,
-        j0=_as_int(obj.get("j0", 0), "j0"),
-        k0=tuple(_as_int(c, "k0 component") for c in k0),
-        velocity=tuple(_as_int(c, "velocity component") for c in velocity),
-        scale_step=_as_int(obj.get("scale_step", 0), "scale_step"),
+        kind=_get(obj, "kind", "law", str),
+        j0=_get(obj, "j0", "law", int, 0),
+        k0=tuple(_check(c, "law k0 component", int) for c in _get(obj, "k0", "law", list)),
+        velocity=tuple(
+            _check(c, "law velocity component", int) for c in _get(obj, "velocity", "law", list, [])
+        ),
+        scale_step=_get(obj, "scale_step", "law", int, 0),
     )
 
 
@@ -385,27 +374,25 @@ def synthetic_spec_to_obj(spec: SyntheticSpec) -> dict:
 
 
 def synthetic_spec_from_obj(obj: Any) -> SyntheticSpec:
-    obj = _as_object(obj, "spec")
-    dim = _as_int(_required(obj, "dimension", "spec"), "dimension")
-    p = _as_float(_required(obj, "p", "spec"), "p")
+    obj = _check(obj, "spec", dict)
+    dim = _get(obj, "dimension", "spec", int)
+    p = _get(obj, "p", "spec", float)
     profiles = []
-    raw_profiles = obj.get("profiles")
-    if not isinstance(raw_profiles, list) or not raw_profiles:
+    raw_profiles = _get(obj, "profiles", "spec", list)
+    if not raw_profiles:
         raise ValueError("spec requires a nonempty profile list")
     for raw in raw_profiles:
-        raw = _as_object(raw, "spec profile")
-        field = _entries_from_obj(raw.get("entries", []), dim, p)
-        law_obj = raw.get("law")
-        if not isinstance(law_obj, Mapping):
-            raise ValueError("each profile requires a law object")
-        profiles.append(PlantedProfile(field, _law_from_obj(law_obj)))
-    noise = _as_object(obj.get("noise") or {}, "noise")
+        raw = _check(raw, "spec profile", dict)
+        field = _entries_from_obj(raw, "entries", dim, p)
+        law = _law_from_obj(_get(raw, "law", "spec profile", dict))
+        profiles.append(PlantedProfile(field, law))
+    noise = _get(obj, "noise", "spec", dict, {})
     return SyntheticSpec(
         dim=dim,
         p=p,
         profiles=tuple(profiles),
-        n_count=_as_int(_required(obj, "n_count", "spec"), "n_count"),
-        seed=_as_int(_required(obj, "seed", "spec"), "seed"),
-        noise_amp=_as_float(noise.get("amp", 0.0), "noise amp"),
-        noise_count=_as_int(noise.get("count", 0), "noise count"),
+        n_count=_get(obj, "n_count", "spec", int),
+        seed=_get(obj, "seed", "spec", int),
+        noise_amp=_get(noise, "amp", "noise", float, 0.0),
+        noise_count=_get(noise, "count", "noise", int, 0),
     )

@@ -286,11 +286,6 @@ def cross_square_pair(f: CoeffField, g: CoeffField) -> tuple[float, float]:
     return _cell_integral([f_items, g_items], f.dim, resolution, evaluate, 2)
 
 
-def cross_square_integral(f: CoeffField, g: CoeffField) -> float:
-    """Integral of S_f(x) * S_g(x)**(p/2 - 1) dx on the shared cell arrangement."""
-    return cross_square_pair(f, g)[0]
-
-
 # ---------------------------------------------------------------------------
 # Inequality checks at the coefficient level.
 

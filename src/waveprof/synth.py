@@ -28,7 +28,6 @@ from .dyadic import (
 )
 from .extract import Decomposition, GroupMember, ProfileGroup, partial_sums
 from .field import CoeffField, combine, order_key, rank, transform
-from .norms import lp_norm
 
 _MASK64 = (1 << 64) - 1
 
@@ -286,7 +285,6 @@ def generate(spec: SyntheticSpec) -> tuple[tuple[CoeffField, ...], Decomposition
         groups=tuple(groups),
         retained=retained,
         diagnostics=(),
-        input_norm_max=max(lp_norm(f) for f in fields),
     )
     return tuple(fields), truth
 

@@ -114,6 +114,11 @@ class TestGenerate:
         files = sorted(p.name for p in corpus_dir.glob("*.json"))
         assert files == [f"field_{n:04d}.json" for n in range(1, 9)] + ["truth.json"]
 
+    def test_truth_carries_no_input_norm(self, corpus):
+        _, corpus_dir, _ = corpus
+        truth = json.loads((corpus_dir / "truth.json").read_text())
+        assert "input_norm_max" not in truth["decomposition"]
+
     def test_invalid_spec_exits_2(self, tmp_path, capsys):
         bad = dict(SPEC_OBJ, profiles=[
             {"entries": [{"i": 1, "j": 0, "k": [0], "denom_exp": 0, "amp": 1.0}],
@@ -173,6 +178,19 @@ class TestDecompose:
         assert main(["decompose", str(corpus_dir), "--config", str(config_path), "--out", str(out)]) == 2
         assert "input exponents must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_malformed_corpus_field_names_the_file(self, corpus, capsys):
+        tmp, corpus_dir, config_path = corpus
+        path = corpus_dir / "field_0007.json"
+        field = json.loads(path.read_text())
+        del field["dimension"]
+        path.write_text(json.dumps(field))
+        out = tmp / "r.json"
+        capsys.readouterr()
+        assert main(["decompose", str(corpus_dir), "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "field_0007.json" in err
+        assert "field lacks the required key 'dimension'" in err
 
     def test_byte_determinism(self, corpus):
         tmp, corpus_dir, config_path = corpus
@@ -248,6 +266,16 @@ def _field_as_list(field):
     return [1, 2], "field must be an object"
 
 
+def _field_p_as_list(field):
+    field["p"] = [1]
+    return field, "field p must be a number"
+
+
+def _entry_amplitude_beyond_floats(field):
+    field["entries"][0]["amp"] = 10**400
+    return field, "entry amp lies outside the float range"
+
+
 @pytest.mark.parametrize(
     "command, corrupt",
     [
@@ -259,10 +287,12 @@ def _field_as_list(field):
         ("norms", _field_without_dimension),
         ("norms", _entry_without_amplitude),
         ("norms", _field_as_list),
+        ("norms", _field_p_as_list),
+        ("norms", _entry_amplitude_beyond_floats),
     ],
     ids=[
         "spec-profile", "spec-entry", "report-member", "anchor-row", "report-diagnostics",
-        "field-key", "entry-key", "field-list",
+        "field-key", "entry-key", "field-list", "field-p-list", "entry-amp-huge",
     ],
 )
 def test_malformed_json_shape_exits_2(corpus, capsys, command, corrupt):

@@ -51,6 +51,18 @@ class TestNormalization:
     def test_zero_vector_reduces_fully(self):
         assert vec(0, 0, e=7) == vec(0, 0)
 
+    def test_huge_denominator_reduces_in_one_step(self):
+        # One halving per step would take 10**400 steps here.
+        assert vec(0, 0, e=10**400) == vec(0, 0)
+        v = vec(-(3 << 9), 5 << 7, e=10**400)
+        assert v.numerators == (-12, 5) and v.denom_exp == 10**400 - 7
+
+    @given(st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=3), st.integers(0, 80))
+    def test_value_is_kept_and_some_numerator_is_odd(self, nums, e):
+        v = DyadicRationalVec(tuple(nums), e)
+        assert all(c << (e - v.denom_exp) == n for c, n in zip(v.numerators, nums))
+        assert v.denom_exp == 0 or any(c % 2 for c in v.numerators)
+
     def test_odd_numerator_is_kept(self):
         v = vec(1, 2, e=1)
         assert v.denom_exp == 1 and v.numerators == (1, 2)

@@ -1,0 +1,107 @@
+"""The JSON loaders fail only with ValueError, whatever one value is swapped for."""
+
+from __future__ import annotations
+
+import copy
+import json
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from waveprof.extract import extract_profiles
+from waveprof.io_json import (
+    config_from_obj,
+    decomposition_from_obj,
+    decomposition_to_obj,
+    dumps_canonical,
+    field_from_obj,
+    field_to_obj,
+    synthetic_spec_from_obj,
+)
+from waveprof.synth import generate
+
+SPEC_OBJ = {
+    "dimension": 1,
+    "p": 4.0,
+    "n_count": 3,
+    "seed": 11,
+    "profiles": [
+        {
+            "entries": [
+                {"i": 1, "j": 0, "k": [0], "denom_exp": 0, "amp": 1.0},
+                {"i": 1, "j": 1, "k": [1], "denom_exp": 0, "amp": 0.25},
+            ],
+            "law": {"kind": "constant", "j0": 0, "k0": [0]},
+        },
+        {
+            "entries": [{"i": 1, "j": 0, "k": [0], "denom_exp": 0, "amp": 0.5}],
+            "law": {"kind": "translation", "j0": 0, "k0": [0], "velocity": [8]},
+        },
+    ],
+    "noise": {"amp": 1e-4, "count": 2},
+}
+
+CONFIG_OBJ = {
+    "max_iterations": 4,
+    "tail_window": 2,
+    "conv_tol": 1e-9,
+    "bound_threshold": 6.0,
+    "stop_epsilon": 1e-3,
+    "space": {"kind": "besov", "p": 4.0, "a": 4.0, "q": "inf"},
+    "remainder": [8.0, "inf"],
+}
+
+_FIELDS, _ = generate(synthetic_spec_from_obj(SPEC_OBJ))
+_INPUTS = dict(enumerate(_FIELDS, start=1))
+_DECOMPOSITION = extract_profiles(_FIELDS, config_from_obj(CONFIG_OBJ))
+
+DOCUMENTS = {
+    "field": (json.loads(dumps_canonical(field_to_obj(_FIELDS[0]))), field_from_obj),
+    "config": (CONFIG_OBJ, config_from_obj),
+    "decomposition": (
+        json.loads(dumps_canonical(decomposition_to_obj(_DECOMPOSITION))),
+        lambda obj: decomposition_from_obj(obj, _INPUTS),
+    ),
+    "spec": (SPEC_OBJ, synthetic_spec_from_obj),
+}
+
+DELETE = object()
+REPLACEMENTS = [[1], {"a": 1}, "x", None, True, 10**400, "nan", DELETE]
+
+
+def _paths(doc, prefix=()):
+    """Every key of every object and every position of every list, as paths."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutated(doc, path, replacement):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if replacement is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(replacement)
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+@given(data=st.data())
+def test_one_bad_value_raises_only_value_error(name, data):
+    doc, load = DOCUMENTS[name]
+    path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+    replacement = data.draw(st.sampled_from(REPLACEMENTS), label="replacement")
+    try:
+        load(_mutated(doc, path, replacement))
+    except ValueError:
+        pass

@@ -15,7 +15,6 @@ from waveprof.norms import (
     BesovParams,
     besov_norm,
     coeff_lp,
-    cross_square_integral,
     cross_square_pair,
     embedding_chain_check,
     interpolation_check,
@@ -257,24 +256,24 @@ class TestEmbeddingChain:
 class TestCrossSquareIntegral:
     def test_identical_unit_cubes(self):
         f = single_entry_field(1, 4.0, 1.0)
-        assert cross_square_integral(f, f) == pytest.approx(1.0, rel=1e-12)
+        assert cross_square_pair(f, f)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_disjoint_supports(self):
         f = single_entry_field(1, 4.0, 1.0, shift=(0,))
         g = single_entry_field(1, 4.0, 1.0, shift=(5,))
-        assert cross_square_integral(f, g) == 0.0
+        assert cross_square_pair(f, g)[0] == 0.0
 
     def test_p2_rejected(self):
         f = single_entry_field(1, 2.0, 1.0)
         with pytest.raises(ValueError):
-            cross_square_integral(f, f)
+            cross_square_pair(f, f)[0]
 
     def test_partial_overlap_hand_value(self):
         # S_f = 1 on [0,1); S_g = sqrt(2) on [1/2, 1).  p = 4 gives
         # integral of S_f * S_g over the overlap = sqrt(2)/2.
         f = single_entry_field(1, 4.0, 1.0)
         g = single_entry_field(1, 4.0, 1.0, scale=1, shift=(1,))
-        assert cross_square_integral(f, g) == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-12)
+        assert cross_square_pair(f, g)[0] == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-12)
 
 
 def _pair(seed: int, dim: int, p: float) -> tuple[CoeffField, CoeffField]:
@@ -322,7 +321,6 @@ class TestCrossSquarePair:
     def test_swapping_the_pair_swaps_the_outputs_bit_for_bit(self, seed, dim, p):
         f, g = _pair(seed, dim, p)
         assert _bits(cross_square_pair(f, g)) == _bits(cross_square_pair(g, f)[::-1])
-        assert _bits([cross_square_integral(f, g)]) == _bits(cross_square_pair(f, g)[:1])
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.sampled_from([3.0, 4.0, 5.0]))
     def test_grid_oracle_agreement(self, seed, dim, p):

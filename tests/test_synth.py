@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+import waveprof
+from waveprof import cli, extract, norms, synth
 from waveprof.dyadic import DyadicAffine, compose, invert
 from waveprof.extract import ExtractConfig, LpInput, extract_profiles, remainder
 from waveprof.field import CoeffField, transform
@@ -150,7 +152,20 @@ class TestGenerate:
         fields, truth = generate(spec)
         budget = math.fsum(lp_norm(g.profile) for g in truth.groups) + 1e-4 * 3
         assert max(lp_norm(f) for f in fields) <= budget + 1e-12
-        assert truth.input_norm_max <= budget + 1e-12
+
+    def test_makes_no_lp_norm_call(self, monkeypatch):
+        calls = []
+        original = norms.lp_norm
+
+        def counting_lp_norm(field):
+            calls.append(field)
+            return original(field)
+
+        for module in (waveprof, cli, extract, norms, synth):
+            if vars(module).get("lp_norm") is original:
+                monkeypatch.setattr(module, "lp_norm", counting_lp_norm)
+        generate(simple_spec(noise_amp=1e-4, noise_count=3))
+        assert calls == []
 
     def test_truth_remainder_is_the_noise(self):
         spec = simple_spec(noise_amp=1e-4, noise_count=2)
