@@ -33,14 +33,12 @@ from .norms import (
     BesovParams,
     EmbeddingChainReport,
     InterpolationCheck,
-    NormReport,
     besov_norm,
     coeff_lp,
     cross_square_pair,
     embedding_chain_check,
     interpolation_check,
     lp_norm,
-    norm_report,
     sup_amplitude,
 )
 from .synth import (
@@ -62,10 +60,9 @@ __all__ = [
     "input_space_norm", "partial_sums", "reconstruct", "remainder",
     "remainder_space_norm", "verify",
     "CoeffField", "combine", "rank", "split_top", "transform",
-    "BesovParams", "EmbeddingChainReport", "InterpolationCheck", "NormReport",
+    "BesovParams", "EmbeddingChainReport", "InterpolationCheck",
     "besov_norm", "coeff_lp", "cross_square_pair",
-    "embedding_chain_check", "interpolation_check", "lp_norm", "norm_report",
-    "sup_amplitude",
+    "embedding_chain_check", "interpolation_check", "lp_norm", "sup_amplitude",
     "AlignmentReport", "ParamLaw", "PlantedProfile", "SeededStream",
     "SyntheticSpec", "align_frames", "generate", "validate_spec",
 ]

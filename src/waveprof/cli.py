@@ -19,13 +19,12 @@ from .extract import extract_profiles, verify
 from .field import CoeffField
 from .io_json import (
     config_from_obj,
-    decomposition_from_obj,
     decomposition_to_obj,
     dumps_canonical,
     field_from_obj,
     field_to_obj,
 )
-from .norms import BesovParams, norm_report
+from .norms import BesovParams, besov_norm, coeff_lp, lp_norm, sup_amplitude
 from .synth import generate
 
 
@@ -91,12 +90,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     stored = _load_json(Path(args.report))
-    if not isinstance(stored, dict) or "config" not in stored or "decomposition" not in stored:
-        raise ValueError("report must contain config and decomposition sections")
-    config = config_from_obj(stored["config"])
     fields = _load_corpus(Path(args.in_dir))
-    inputs = {n: f for n, f in enumerate(fields, start=1)}
-    dec = decomposition_from_obj(stored["decomposition"], inputs)
+    config, dec = io_json.report_from_obj(stored, dict(enumerate(fields, start=1)))
     report = verify(dec, config)
     text = dumps_canonical(io_json.report_to_obj(config, dec, report))
     if args.out:
@@ -118,16 +113,18 @@ def _parse_besov_triple(token: str) -> BesovParams:
 def _cmd_norms(args: argparse.Namespace) -> int:
     field = _load_field(Path(args.field))
     besov_list = [_parse_besov_triple(token) for token in args.besov or []]
-    norms = norm_report(field, besov_list)
+    # Basis regularity has no coefficient-space counterpart, so admissibility
+    # of a requested triple is unknown and every triple is reported.
     obj = {
         "dimension": field.dim,
         "p": field.p,
-        "lp": norms.lp,
-        "sup": norms.sup,
-        "coeff_lp": norms.amplitude_lp,
+        "lp": lp_norm(field),
+        "sup": sup_amplitude(field),
+        "coeff_lp": coeff_lp(field),
         "besov": [
-            {"s": prm.s, "a": prm.a, "b": prm.b, "value": value, "m_admissible": None}
-            for prm, value in norms.besov
+            {"s": prm.s, "a": prm.a, "b": prm.b, "value": besov_norm(field, prm),
+             "m_admissible": None}
+            for prm in besov_list
         ],
     }
     sys.stdout.write(dumps_canonical(obj))

@@ -185,16 +185,11 @@ LatticeParams = tuple[int, tuple[int, ...]]
 def orthogonality_gap(a: LatticeParams, b: LatticeParams) -> float:
     """Separation of two (scale, shift) parameter pairs on the integer lattice.
 
-    Equals the magnitude of the relative map carrying frame ``a`` onto frame
+    It is the magnitude of the relative map carrying frame ``a`` onto frame
     ``b``; two parameter sequences are asymptotically orthogonal iff this
     quantity diverges along them.
     """
-    ja, ka = int(a[0]), tuple(int(c) for c in a[1])
-    jb, kb = int(b[0]), tuple(int(c) for c in b[1])
-    if len(ka) != len(kb):
-        raise ValueError("dimension mismatch")
-    rel = DyadicRationalVec.from_ints(kb).scaled_by_pow2(ja - jb) - DyadicRationalVec.from_ints(ka)
-    return abs(ja - jb) + rel.euclidean_norm()
+    return magnitude(relative_map(a, b))
 
 
 def relative_map(anchor: LatticeParams, target: LatticeParams) -> DyadicAffine:

@@ -295,10 +295,20 @@ def decomposition_from_obj(obj: Any, inputs: Mapping[int, CoeffField]) -> Decomp
     retained = tuple(
         _check(n, "retained index", int) for n in _get(obj, "retained", what, list, [])
     )
+    if list(retained) != sorted(set(retained) & inputs.keys()):
+        raise ValueError("decomposition retained must list strictly increasing corpus indices")
     groups = tuple(_group_from_obj(g, dim, p) for g in _get(obj, "groups", what, list, []))
     for position, group in enumerate(groups):
         if any(n not in group.anchor_params for n in retained):
             raise ValueError(f"group {position} lacks anchor rows for retained indices")
+        # Extraction builds a profile from its nonzero members, one entry each.
+        members = [
+            (WaveletIndex(m.gen, m.rel_map.scale, m.rel_map.shift), m.amplitude)
+            for m in group.members
+            if m.amplitude != 0.0
+        ]
+        if len(members) != len(group.profile) or dict(members) != group.profile.entries:
+            raise ValueError(f"group {position} members do not match its profile")
     return Decomposition(
         dim=dim,
         p=p,
@@ -308,6 +318,15 @@ def decomposition_from_obj(obj: Any, inputs: Mapping[int, CoeffField]) -> Decomp
         diagnostics=tuple(str(d) for d in _get(obj, "diagnostics", what, list, [])),
         input_norm_max=_get(obj, "input_norm_max", what, float, None),
     )
+
+
+def report_from_obj(
+    obj: Any, inputs: Mapping[int, CoeffField]
+) -> tuple[ExtractConfig, Decomposition]:
+    """The config and decomposition of a stored report, over the corpus ``inputs``."""
+    obj = _check(obj, "report", dict)
+    config = config_from_obj(_get(obj, "config", "report", dict))
+    return config, decomposition_from_obj(_get(obj, "decomposition", "report", dict), inputs)
 
 
 def _report_dict(pairs: list[tuple[str, Any]]) -> dict:

@@ -88,10 +88,9 @@ def sup_amplitude(field: CoeffField) -> float:
 
 
 @_finite("amplitude l^p norm")
-def coeff_lp(field: CoeffField, exponent: float | None = None) -> float:
-    """Plain l^p norm of the amplitude multiset (defaults to the field's p)."""
-    e = field.p if exponent is None else float(exponent)
-    return _lp_of([abs(a) for a in field.entries.values()], e)
+def coeff_lp(field: CoeffField) -> float:
+    """Plain l^p norm of the amplitude multiset, at the field's p."""
+    return _lp_of([abs(a) for a in field.entries.values()], field.p)
 
 
 @_finite("Besov norm")
@@ -355,28 +354,4 @@ def embedding_chain_check(field: CoeffField, q: float, r: float) -> EmbeddingCha
         outer_monotone=b_pq <= b_pp * (1.0 + _REL_SLACK),
         inner_monotone=b_rq <= b_pq * (1.0 + _REL_SLACK),
         amplitude_ratio=clp / lp if lp > 0.0 else 0.0,
-    )
-
-
-@dataclass(frozen=True)
-class NormReport:
-    """Bundle of norms for one field; besov entries echo their parameters.
-
-    Admissibility of a requested (s, a, b) triple with respect to basis
-    regularity has no coefficient-space counterpart, so requested triples are
-    recorded verbatim and never filtered.
-    """
-
-    lp: float
-    sup: float
-    amplitude_lp: float
-    besov: tuple[tuple[BesovParams, float], ...]
-
-
-def norm_report(field: CoeffField, besov_params: Sequence[BesovParams] = ()) -> NormReport:
-    return NormReport(
-        lp=lp_norm(field),
-        sup=sup_amplitude(field),
-        amplitude_lp=coeff_lp(field),
-        besov=tuple((prm, besov_norm(field, prm)) for prm in besov_params),
     )

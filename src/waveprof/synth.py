@@ -4,8 +4,9 @@ A synthetic sequence plants known profiles along prescribed scale/translation
 parameter laws, optionally buried under small-amplitude noise placed on fresh
 indices, and returns both the sequence and the decomposition an extractor is
 expected to recover.  Specs whose parameter laws do not separate, whose
-transformed indices leave the integer lattice, or whose planted supports
-collide anywhere in the generated range are rejected up front.
+transformed indices leave the integer lattice, whose planted supports collide
+anywhere in the generated range, or that would generate more than
+``MAX_GENERATED_ENTRIES`` coefficients are rejected before any file is written.
 
 Randomness comes from an explicit SplitMix64 stream so corpora are
 reproducible from the seed alone, independent of the host platform.
@@ -13,9 +14,7 @@ reproducible from the seed alone, independent of the host platform.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .dyadic import (
     DyadicAffine,
@@ -121,8 +120,13 @@ class SyntheticSpec:
     noise_count: int = 0
 
 
-def validate_spec(spec: SyntheticSpec) -> None:
-    """Reject specs that cannot produce a cleanly recoverable sequence."""
+# Most coefficients a spec may generate; without a bound a huge n_count or
+# noise count keeps validate_spec and generate looping without end.
+MAX_GENERATED_ENTRIES = 1 << 20
+
+
+def _check_spec(spec: SyntheticSpec) -> None:
+    """The checks of :func:`validate_spec` that place no profile: shape, size and laws."""
     if spec.n_count < 1:
         raise ValueError("n_count must be at least 1")
     if not spec.profiles:
@@ -138,6 +142,11 @@ def validate_spec(spec: SyntheticSpec) -> None:
             raise ValueError("profiles must be nonempty")
         if len(planted.law.k0) != spec.dim:
             raise ValueError("law dimension does not match the spec")
+    planted_count = sum(len(planted.field.entries) for planted in spec.profiles)
+    if spec.n_count * (planted_count + spec.noise_count) > MAX_GENERATED_ENTRIES:
+        raise ValueError(
+            f"n_count times (planted entries + noise count) exceeds {MAX_GENERATED_ENTRIES}"
+        )
     if len(spec.profiles) > 1 and spec.n_count < 2:
         raise ValueError("divergence of several laws needs n_count >= 2")
     for i in range(len(spec.profiles)):
@@ -152,24 +161,28 @@ def validate_spec(spec: SyntheticSpec) -> None:
                 raise ValueError(
                     f"parameter laws {i} and {k} do not separate over the range"
                 )
+
+
+def _placed(spec: SyntheticSpec, n: int) -> list[CoeffField]:
+    """Every planted profile moved to index ``n``; off-lattice or colliding ones are rejected."""
+    placed: list[CoeffField] = []
+    for position, planted in enumerate(spec.profiles):
+        field = transform(planted.field, planted.law.affine(n))
+        if not field.is_lattice:
+            raise ValueError(f"profile {position} leaves the lattice at n={n}")
+        if any(not earlier.entries.keys().isdisjoint(field.entries) for earlier in placed):
+            raise ValueError(
+                f"planted supports collide at n={n}; recovery would be ambiguous"
+            )
+        placed.append(field)
+    return placed
+
+
+def validate_spec(spec: SyntheticSpec) -> None:
+    """Reject specs that cannot produce a cleanly recoverable sequence."""
+    _check_spec(spec)
     for n in range(1, spec.n_count + 1):
-        supports: list[set[WaveletIndex]] = []
-        for position, planted in enumerate(spec.profiles):
-            tau = planted.law.affine(n)
-            mapped = set()
-            for index in planted.field.entries:
-                moved = act_on_index(tau, index)
-                if not moved.on_lattice:
-                    raise ValueError(
-                        f"profile {position} leaves the lattice at n={n}"
-                    )
-                mapped.add(moved)
-            for earlier in supports:
-                if earlier & mapped:
-                    raise ValueError(
-                        f"planted supports collide at n={n}; recovery would be ambiguous"
-                    )
-            supports.append(mapped)
+        _placed(spec, n)
 
 
 def _entry_affine(index: WaveletIndex) -> DyadicAffine:
@@ -219,16 +232,19 @@ def _reframed_groups(spec: SyntheticSpec, retained: tuple[int, ...]) -> list[Pro
 
 
 def _noise_scale_and_offset(planted: list[CoeffField]) -> tuple[int, int]:
+    # An entry at scale j with shift k / 2**d covers a cube whose farthest
+    # edge from the origin, per axis, is (|k| + 2**d) / 2**(j + d).
     top_scale = 0
-    reach = Fraction(1)
+    reach = 1
     for field in planted:
         for index in field.entries:
             top_scale = max(top_scale, index.scale)
-            side = Fraction(1 << max(-index.scale, 0), 1 << max(index.scale, 0))
+            denom_exp = index.shift.denom_exp
+            exponent = index.scale + denom_exp
             for c in index.shift.numerators:
-                corner = Fraction(abs(c), 1 << index.shift.denom_exp)
-                reach = max(reach, (corner + 1) * side)
-    return top_scale + 1, int(math.ceil(reach)) + 1
+                edge = abs(c) + (1 << denom_exp)
+                reach = max(reach, -(-edge >> exponent) if exponent >= 0 else edge << -exponent)
+    return top_scale + 1, reach + 1
 
 
 def _noise_field(
@@ -255,20 +271,18 @@ def generate(spec: SyntheticSpec) -> tuple[tuple[CoeffField, ...], Decomposition
     """Build the sequence and the decomposition that should be recovered.
 
     Deterministic given the spec.  Each input is the full
-    :func:`~waveprof.extract.partial_sums` of the planted groups, plus noise,
-    so a perfect recovery cancels the planted components exactly,
-    coefficient by coefficient.  Noise is placed beyond the planted sums'
-    indices; those are exactly the transformed planted indices, because
-    :func:`validate_spec` rejects colliding supports.
+    :func:`~waveprof.extract.partial_sums` of the placed planted profiles,
+    plus noise.  They equal the truth groups' placed profiles entry for entry
+    and in order, so a perfect recovery cancels the planted components
+    exactly, coefficient by coefficient.  Noise is placed beyond the planted
+    sums' indices; those are exactly the placed indices, because
+    :func:`_placed` rejects colliding supports.
     """
-    validate_spec(spec)
+    _check_spec(spec)
     retained = tuple(range(1, spec.n_count + 1))
-    groups = _reframed_groups(spec, retained)
-
     fields = []
     for n in retained:
-        placed = [transform(g.profile, g.anchor_affine(n)) for g in groups]
-        *_, acc = partial_sums(placed, spec.dim, spec.p)
+        *_, acc = partial_sums(_placed(spec, n), spec.dim, spec.p)
         fields.append(acc)
     if spec.noise_count:
         stream = SeededStream(spec.seed)
@@ -278,6 +292,7 @@ def generate(spec: SyntheticSpec) -> tuple[tuple[CoeffField, ...], Decomposition
             for n, acc in zip(retained, fields)
         ]
 
+    groups = _reframed_groups(spec, retained)
     truth = Decomposition(
         dim=spec.dim,
         p=spec.p,

@@ -73,6 +73,14 @@ def random_affine(
     return DyadicAffine(scale, DyadicRationalVec(nums, exp))
 
 
+def gap_oracle(a, b) -> float:
+    """orthogonality_gap by its direct formula |ja - jb| + |kb * 2**(ja - jb) - ka|."""
+    ja, ka = int(a[0]), tuple(int(c) for c in a[1])
+    jb, kb = int(b[0]), tuple(int(c) for c in b[1])
+    rel = DyadicRationalVec.from_ints(kb).scaled_by_pow2(ja - jb) - DyadicRationalVec.from_ints(ka)
+    return abs(ja - jb) + rel.euclidean_norm()
+
+
 def _square_function_grids(fields) -> tuple[list[np.ndarray], float]:
     """Square functions of ``fields`` rendered on one dense grid, and its cell volume.
 

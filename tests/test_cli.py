@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import waveprof
 from waveprof.cli import main
 from waveprof.extract import BesovInput, ExtractConfig, LpInput
 from waveprof.io_json import (
@@ -131,6 +136,28 @@ class TestGenerate:
         assert main(["generate", str(path), str(tmp_path / "out")]) == 2
         assert "separate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [
+            ({"n_count": 10**30, "profiles": SPEC_OBJ["profiles"][:1]}, "n_count"),
+            ({"noise": {"amp": 1e-4, "count": 10**30}}, "noise count"),
+        ],
+        ids=["n-count", "noise-count"],
+    )
+    def test_huge_spec_exits_2(self, tmp_path, overrides, name):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(dict(SPEC_OBJ, **overrides)))
+        # A child process, so that a spec that runs without end fails the test
+        # at the timeout instead of hanging the suite.
+        env = dict(os.environ, PYTHONPATH=str(Path(waveprof.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "waveprof.cli", "generate", str(path), str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 2
+        assert name in done.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override_changes_noise(self, corpus, tmp_path):
         spec_path, corpus_dir, _ = corpus[0] / "spec.json", corpus[1], corpus[2]
         other = corpus[0] / "other"
@@ -252,6 +279,20 @@ def _report_diagnostics(report):
     return report, "diagnostics must be a list"
 
 
+def _retained_outside_corpus(report):
+    dec = report["decomposition"]
+    dec["retained"].append(99)
+    for group in dec["groups"]:
+        _, j, k = group["anchor"][-1]
+        group["anchor"].append([99, j, k])
+    return report, "retained must list strictly increasing corpus indices"
+
+
+def _member_off_profile(report):
+    report["decomposition"]["groups"][0]["members"][0]["amplitude"] = 5.0
+    return report, "group 0 members do not match its profile"
+
+
 def _field_without_dimension(field):
     del field["dimension"]
     return field, "field lacks the required key 'dimension'"
@@ -284,6 +325,8 @@ def _entry_amplitude_beyond_floats(field):
         ("verify", _report_member),
         ("verify", _anchor_row),
         ("verify", _report_diagnostics),
+        ("verify", _retained_outside_corpus),
+        ("verify", _member_off_profile),
         ("norms", _field_without_dimension),
         ("norms", _entry_without_amplitude),
         ("norms", _field_as_list),
@@ -292,6 +335,7 @@ def _entry_amplitude_beyond_floats(field):
     ],
     ids=[
         "spec-profile", "spec-entry", "report-member", "anchor-row", "report-diagnostics",
+        "retained-outside-corpus", "member-off-profile",
         "field-key", "entry-key", "field-list", "field-p-list", "entry-amp-huge",
     ],
 )
@@ -336,10 +380,11 @@ class TestNorms:
             "dimension": 1, "p": 4.0,
             "entries": [{"i": 1, "j": 0, "k": [0], "denom_exp": 0, "amp": 1.0}],
         }))
-        assert main(["norms", str(path)]) == 0
+        assert main(["norms", str(path), "--besov", "0,4,4"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["lp"] == pytest.approx(1.0, rel=1e-12)
         assert out["sup"] == 1.0 and out["coeff_lp"] == 1.0
+        assert [b["value"] for b in out["besov"]] == [1.0]
 
     def test_empty_entries_all_zero(self, tmp_path, capsys):
         path = tmp_path / "zero.json"

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from waveprof.dyadic import (
@@ -18,7 +18,7 @@ from waveprof.dyadic import (
     orthogonality_gap,
     relative_map,
 )
-from conftest import apply_affine, cube_bounds, in_cube, lattice_index
+from conftest import apply_affine, cube_bounds, gap_oracle, in_cube, lattice_index
 
 
 def vec(*nums, e=0):
@@ -35,6 +35,13 @@ def affines(draw, dim):
     exp = draw(st.integers(0, 3))
     nums = draw(st.lists(st.integers(-40, 40), min_size=dim, max_size=dim))
     return DyadicAffine(scale, DyadicRationalVec(tuple(nums), exp))
+
+
+@st.composite
+def lattice_param_pairs(draw):
+    dim = draw(st.integers(1, 3))
+    shifts = st.lists(st.integers(-2**40, 2**40), min_size=dim, max_size=dim).map(tuple)
+    return (draw(st.integers(-12, 12)), draw(shifts)), (draw(st.integers(-12, 12)), draw(shifts))
 
 
 @st.composite
@@ -204,6 +211,14 @@ class TestOrthogonalityGap:
             a = (int(rng.integers(-4, 5)), tuple(int(rng.integers(-20, 21)) for _ in range(dim)))
             b = (int(rng.integers(-4, 5)), tuple(int(rng.integers(-20, 21)) for _ in range(dim)))
             assert orthogonality_gap(a, b) == magnitude(relative_map(a, b))
+
+    @given(lattice_param_pairs())
+    @example(((0, (3,)), (-5, (7,))))
+    @example(((-2, (1, -9)), (4, (-3, 5))))
+    @example(((3, (5, -7, 2)), (-4, (1, 2, -3))))
+    def test_matches_the_direct_formula(self, pair):
+        a, b = pair
+        assert orthogonality_gap(a, b).hex() == gap_oracle(a, b).hex()
 
     def test_divergence_matches_parameter_divergence(self):
         gaps = [orthogonality_gap((0, (0,)), (n, (3 * n,))) for n in range(1, 40)]

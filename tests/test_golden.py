@@ -6,6 +6,8 @@ cross tables are nonzero, one in Besov mode whose remainders are nonzero
 whose profiles carry dyadic-rational shifts and whose cross tables mix zero
 and nonzero values.  Any change to extraction order, the
 summation order of reconstructions or the report schema shows up here.
+The generate digests fix every byte of the field files and truth.json that
+the three specs generate.
 """
 
 from __future__ import annotations
@@ -140,6 +142,54 @@ GOLDEN = {
     "besov": "bb6eadd25b23d4c63be8afb252d67ca6c7ac422fcfec935dd049da91ed4ca780",
     "lp2d": "3eaf670bab2c1339fda27f12c93dcc2ae422900f6c7d11522e69e90f6a3b3d00",
 }
+
+GENERATE_GOLDEN = {
+    "lp": {
+        "field_0001.json": "bef12feeeb5926c69f54bd5ca04e754eec33ebc76ac7bdf4497d95ea0e3543f1",
+        "field_0002.json": "7d7e66b5b8fd688d4ce7f56512b4cd2baaee778e68e958d8668db87e30d29c29",
+        "field_0003.json": "3e1e37c5386dfb39ab6ecd164728505cf0f670f24a5d8004614317ef96bfea9f",
+        "field_0004.json": "8d5e5fe7f86744549e0c419647fac55f922b3e3e004a79b54024b75d525d3193",
+        "field_0005.json": "c1e1e1c71d131b1b79163f7d06f035683d92195af4e55a1f8ecff94b325a0a68",
+        "field_0006.json": "6abf158fddeb981b576167d0055ffa194f5c23980cfe29f3039f050e6645aabf",
+        "field_0007.json": "1b9ff12008e2cd2d59f755005f09439d250c48865312d1f3b62919f6034c7f36",
+        "field_0008.json": "182094397154fc45782f9a45dfdf780a18d20d066203015e160514fc289f2daa",
+        "truth.json": "558ac69d67a0cb7a8db677ae04fd08f5d47efbaa95d3e812c3c1d5f5b9dfb240",
+    },
+    "besov": {
+        "field_0001.json": "113a7e1b2b04fd3fd6fbcc4f58e175fb24fa890d5d0d8b6263127cb5fb5e25d3",
+        "field_0002.json": "baf1b83f094d523fb44218381a36f2c48030677eab060039dde47dd9399ae4c3",
+        "field_0003.json": "0725334d4b11b61b593184eb74401cb68957c41d3e2958934ae9dff6bd92b953",
+        "field_0004.json": "31fbdad5f6456e94ab4043dc65419db70c57359d1b223a99e82a0af6794f9343",
+        "field_0005.json": "21b0c5cc56de4857376e82fc64e4f69ac9774e568fa639508178d4b49691c43a",
+        "field_0006.json": "abcaac5de471f40e540b9318086c011fb4a1077972149f7e84d2c437370e2a92",
+        "field_0007.json": "ce3263f6655019bf8f59aecb63ddb30ef1f97c5cfe6372c5848f3a083fdc65d5",
+        "field_0008.json": "24fe4065654a8dfa0868f742e3741093d4e798ddc7d30aba4064436726d8070a",
+        "truth.json": "f3ddd0c1a091bf93e17b55f990481d9737c199148638874d5312fb895d274d3c",
+    },
+    "lp2d": {
+        "field_0001.json": "b622c07dbe4520ff2044d432367cd897cc66d9366ce3797e4331e74d292064bf",
+        "field_0002.json": "2adffafa4be97acfd4bba5d2651faed33f5a2f5d6ddecdbce61d85ec2ede32d9",
+        "field_0003.json": "b9b2e20a876a2cc7a3a9505c4a783cf8f82b2c3773188c03ffc4c6e26b35b0ec",
+        "field_0004.json": "aca1d67fc933b113a3845a79c5994276acdf1135b0077d57f059c00416de932d",
+        "field_0005.json": "11d24feb78c3f26c535c5eb1759d8d3caee0dca5ad2e7ba4309eeade9293195a",
+        "field_0006.json": "ae460df619a8b0972b868e609a1f251ffd0e931fa568c1aeb26aa463b9496e97",
+        "truth.json": "22c7782592b3b11d24fdd09c473c3cb21d87c0450c1f27e326167c48f7eec95c",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name, spec", [("lp", LP_SPEC), ("besov", BESOV_SPEC), ("lp2d", LP_2D_SPEC)]
+)
+def test_generate_digests(tmp_path, name, spec):
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    corpus = tmp_path / "corpus"
+    assert main(["generate", str(tmp_path / "spec.json"), str(corpus)]) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(corpus.iterdir())
+    }
+    assert digests == GENERATE_GOLDEN[name]
 
 
 def _decompose(tmp_path, spec, config):

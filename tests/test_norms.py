@@ -19,7 +19,6 @@ from waveprof.norms import (
     embedding_chain_check,
     interpolation_check,
     lp_norm,
-    norm_report,
     sup_amplitude,
 )
 from conftest import (
@@ -438,13 +437,3 @@ class TestOverflow:
             norm(f)
         assert str(caught.value) == f"{name} overflows the float range"
 
-
-class TestNormReport:
-    def test_bundles_values(self):
-        f = fld(4.0, (lattice_index(1, 0, 0), 1.0))
-        prm = BesovParams(0.0, 4.0, 4.0)
-        rep = norm_report(f, [prm])
-        assert rep.lp == pytest.approx(1.0, rel=1e-12)
-        assert rep.sup == 1.0
-        assert rep.amplitude_lp == 1.0
-        assert rep.besov == ((prm, 1.0),)

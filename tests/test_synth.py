@@ -6,7 +6,7 @@ import math
 import pytest
 
 import waveprof
-from waveprof import cli, extract, norms, synth
+from waveprof import cli, dyadic, extract, field, norms, synth
 from waveprof.dyadic import DyadicAffine, compose, invert
 from waveprof.extract import ExtractConfig, LpInput, extract_profiles, remainder
 from waveprof.field import CoeffField, transform
@@ -166,6 +166,38 @@ class TestGenerate:
                 monkeypatch.setattr(module, "lp_norm", counting_lp_norm)
         generate(simple_spec(noise_amp=1e-4, noise_count=3))
         assert calls == []
+
+    def test_moves_each_planted_entry_once_per_index(self, monkeypatch):
+        calls = []
+        original = dyadic.act_on_index
+
+        def counting_act_on_index(tau, index):
+            calls.append(index)
+            return original(tau, index)
+
+        for module in (waveprof, dyadic, field, synth):
+            if vars(module).get("act_on_index") is original:
+                monkeypatch.setattr(module, "act_on_index", counting_act_on_index)
+        pair = CoeffField.from_items(1, 4.0, [
+            (lattice_index(1, 0, 0), 1.0), (lattice_index(1, 1, 1), 0.3),
+        ])
+        triple = CoeffField.from_items(1, 4.0, [
+            (lattice_index(1, 0, 0), -0.8), (lattice_index(1, 0, 1), 0.4),
+            (lattice_index(1, 1, 3), 0.2),
+        ])
+        spec = simple_spec(
+            profiles=(
+                PlantedProfile(pair, ParamLaw("constant", 0, (0,))),
+                PlantedProfile(triple, ParamLaw("translation", 0, (2,), velocity=(8,))),
+            ),
+            noise_amp=1e-4,
+            noise_count=2,
+        )
+        generate(spec)
+        # Each entry is placed once per index, each profile's anchor is moved
+        # once per index, and each entry is moved once into its profile's frame.
+        entries, profiles = 5, 2
+        assert len(calls) == spec.n_count * entries + spec.n_count * profiles + entries
 
     def test_truth_remainder_is_the_noise(self):
         spec = simple_spec(noise_amp=1e-4, noise_count=2)
