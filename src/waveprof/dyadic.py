@@ -9,7 +9,7 @@ derived magnitudes (Euclidean norms).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 
@@ -28,22 +28,54 @@ def _normalize(numerators: tuple[int, ...], denom_exp: int) -> tuple[tuple[int, 
     return numerators, denom_exp
 
 
-@dataclass(frozen=True)
+def _lowest_terms(numerators: tuple[int, ...], denom_exp: int) -> tuple[tuple[int, ...], int]:
+    """Check int numerators and a denominator exponent, and put them in lowest terms."""
+    if len(numerators) < 1:
+        raise ValueError("dimension must be at least 1")
+    if denom_exp < 0:
+        raise ValueError("denom_exp must be nonnegative")
+    return _normalize(numerators, int(denom_exp))
+
+
+def _check_generator(gen: int, dim: int) -> None:
+    top = (1 << dim) - 1
+    if not 1 <= gen <= top:
+        raise ValueError(f"generator {gen} out of range [1, {top}]")
+
+
+# The index classes are built by the hundred thousand and hashed on every
+# dict operation, so they carry slots and a hash computed once, equal to the
+# hash the generated dataclass method would give.  Public constructors check
+# and normalise; ``_unchecked`` builds a value the caller already knows to be
+# valid and in lowest terms, such as the result of exact arithmetic on valid
+# values.
+
+
+@dataclass(frozen=True, slots=True)
 class DyadicRationalVec:
     """Vector whose components are ``numerators / 2**denom_exp``, in lowest terms."""
 
     numerators: tuple[int, ...]
     denom_exp: int = 0
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        nums = tuple(int(c) for c in self.numerators)
-        if len(nums) < 1:
-            raise ValueError("dimension must be at least 1")
-        if self.denom_exp < 0:
-            raise ValueError("denom_exp must be nonnegative")
-        nums, exp = _normalize(nums, int(self.denom_exp))
+        nums, exp = _lowest_terms(tuple(int(c) for c in self.numerators), self.denom_exp)
         object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "denom_exp", exp)
+        object.__setattr__(self, "_hash", hash((nums, exp)))
+
+    @classmethod
+    def _unchecked(cls, numerators: tuple[int, ...], denom_exp: int) -> DyadicRationalVec:
+        """The vector of int ``numerators`` already in lowest terms, taken as given."""
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "numerators", numerators)
+        object.__setattr__(vec, "denom_exp", denom_exp)
+        object.__setattr__(vec, "_hash", hash((numerators, denom_exp)))
+        return vec
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def zero(cls, dim: int) -> DyadicRationalVec:
@@ -69,28 +101,44 @@ class DyadicRationalVec:
 
     def scaled_by_pow2(self, exponent: int) -> DyadicRationalVec:
         """Exact multiplication of the value by ``2**exponent``."""
+        exp = self.denom_exp
         if exponent >= 0:
-            return DyadicRationalVec(tuple(c << exponent for c in self.numerators), self.denom_exp)
-        return DyadicRationalVec(self.numerators, self.denom_exp - exponent)
+            # Cancelling 2**step against the denominator leaves an odd
+            # numerator over any denominator that remains.
+            step = min(exponent, exp)
+            nums = tuple(c << (exponent - step) for c in self.numerators)
+            return DyadicRationalVec._unchecked(nums, exp - step)
+        if exp:
+            # Some numerator is odd, so a larger denominator stays in lowest terms.
+            return DyadicRationalVec._unchecked(self.numerators, exp - exponent)
+        return DyadicRationalVec._unchecked(*_normalize(self.numerators, -exponent))
 
     def __add__(self, other: DyadicRationalVec) -> DyadicRationalVec:
-        if self.dim != other.dim:
+        if len(self.numerators) != len(other.numerators):
             raise ValueError("dimension mismatch")
-        exp = max(self.denom_exp, other.denom_exp)
+        a_exp, b_exp = self.denom_exp, other.denom_exp
+        if a_exp == b_exp:
+            nums = tuple(a + b for a, b in zip(self.numerators, other.numerators))
+            if a_exp == 0:
+                return DyadicRationalVec._unchecked(nums, 0)
+            return DyadicRationalVec._unchecked(*_normalize(nums, a_exp))
+        # Over the larger denominator the finer operand has an odd numerator
+        # and the other an even one, so their sum there is odd.
+        exp = max(a_exp, b_exp)
         nums = tuple(
-            (a << (exp - self.denom_exp)) + (b << (exp - other.denom_exp))
+            (a << (exp - a_exp)) + (b << (exp - b_exp))
             for a, b in zip(self.numerators, other.numerators)
         )
-        return DyadicRationalVec(nums, exp)
+        return DyadicRationalVec._unchecked(nums, exp)
 
     def __neg__(self) -> DyadicRationalVec:
-        return DyadicRationalVec(tuple(-c for c in self.numerators), self.denom_exp)
+        return DyadicRationalVec._unchecked(tuple(-c for c in self.numerators), self.denom_exp)
 
     def __sub__(self, other: DyadicRationalVec) -> DyadicRationalVec:
         return self + (-other)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WaveletIndex:
     """A basis-coefficient address (generator, scale, shift).
 
@@ -101,11 +149,24 @@ class WaveletIndex:
     gen: int
     scale: int
     shift: DyadicRationalVec
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        top = (1 << self.shift.dim) - 1
-        if not 1 <= self.gen <= top:
-            raise ValueError(f"generator {self.gen} out of range [1, {top}]")
+        _check_generator(self.gen, self.shift.dim)
+        object.__setattr__(self, "_hash", hash((self.gen, self.scale, self.shift)))
+
+    @classmethod
+    def _unchecked(cls, gen: int, scale: int, shift: DyadicRationalVec) -> WaveletIndex:
+        """The index of a generator already checked against ``shift``'s dimension."""
+        index = object.__new__(cls)
+        object.__setattr__(index, "gen", gen)
+        object.__setattr__(index, "scale", scale)
+        object.__setattr__(index, "shift", shift)
+        object.__setattr__(index, "_hash", hash((gen, scale, shift)))
+        return index
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dim(self) -> int:
@@ -172,7 +233,7 @@ def act_on_index(tau: DyadicAffine, index: WaveletIndex) -> WaveletIndex:
     """
     if tau.dim != index.dim:
         raise ValueError("dimension mismatch")
-    return WaveletIndex(
+    return WaveletIndex._unchecked(
         index.gen,
         tau.scale + index.scale,
         tau.shift.scaled_by_pow2(index.scale) + index.shift,
@@ -201,6 +262,12 @@ def relative_map(anchor: LatticeParams, target: LatticeParams) -> DyadicAffine:
     """
     j0, k0 = int(anchor[0]), anchor[1]
     j1, k1 = int(target[0]), target[1]
+    if len(k0) != len(k1):
+        raise ValueError("dimension mismatch")
     delta = j1 - j0
-    shift = DyadicRationalVec.from_ints(k1) - DyadicRationalVec.from_ints(k0).scaled_by_pow2(delta)
+    if delta >= 0:
+        shift = DyadicRationalVec._unchecked(tuple(b - (a << delta) for a, b in zip(k0, k1)), 0)
+    else:
+        nums = tuple((b << -delta) - a for a, b in zip(k0, k1))
+        shift = DyadicRationalVec._unchecked(*_normalize(nums, -delta))
     return DyadicAffine(delta, shift)

@@ -16,7 +16,7 @@ tolerance tests.  Sequence indices n are 1-based labels; group positions are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -146,6 +146,9 @@ class Decomposition:
     construction for every retained index and level.  ``input_norm_max`` is
     the largest input-space norm of the inputs when extraction produced the
     decomposition, and ``None`` for a planted one from :func:`~waveprof.synth.generate`.
+    ``input_norms`` is the space extraction measured the inputs in and their
+    norms by sequence index, which :func:`verify` reuses in that space; it is
+    not part of the report, so a decomposition loaded from one has ``None``.
     """
 
     dim: int
@@ -155,6 +158,9 @@ class Decomposition:
     retained: tuple[int, ...]
     diagnostics: tuple[str, ...]
     input_norm_max: float | None = None
+    input_norms: tuple[InputSpace, Mapping[int, float]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inputs", MappingProxyType(dict(self.inputs)))
@@ -206,7 +212,8 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
         raise ValueError("tail window exceeds the sequence length")
 
     inputs = {n: f for n, f in enumerate(fields, start=1)}
-    input_norm_max = max(input_space_norm(f, config.input_space) for f in fields)
+    input_norms = {n: input_space_norm(f, config.input_space) for n, f in inputs.items()}
+    input_norm_max = max(input_norms.values())
     retained = sorted(inputs)
     ranked = {n: rank(f) for n, f in inputs.items()}
     groups: list[_WorkingGroup] = []
@@ -267,11 +274,16 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
         attached = False
         ambiguous = False
         for group in groups:
-            rel = {n: relative_map(group.anchors[n], params[n]) for n in retained}
-            tail_rel = [rel[n] for n in tail]
+            tail_rel = [relative_map(group.anchors[n], params[n]) for n in tail]
             constant = tail_rel[0]
             if all(r == constant for r in tail_rel) and magnitude(constant) <= config.bound_threshold:
-                keep = [n for n in retained if rel[n] == constant]
+                # ``tail`` is the suffix of ``retained`` and all its maps equal
+                # ``constant``; the other maps are needed only now that the
+                # group attaches.
+                keep = [
+                    n for n in retained[:-window]
+                    if relative_map(group.anchors[n], params[n]) == constant
+                ] + tail
                 if keep != retained:
                     diagnostics.append(
                         f"iterate {next_rank}: relative-map constancy dropped "
@@ -326,6 +338,7 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
         retained=tuple(retained),
         diagnostics=tuple(diagnostics),
         input_norm_max=input_norm_max,
+        input_norms=(config.input_space, MappingProxyType(input_norms)),
     )
 
 
@@ -334,9 +347,9 @@ def partial_sums(profiles: Sequence[CoeffField], dim: int, p: float) -> Iterator
 
     ``profiles`` are the group profiles already moved to one sequence index
     (``transform(group.profile, group.anchor_affine(n))``).  This is the one
-    summation order of the package: reconstruction, remainders, verification
-    and synthetic generation all go through it, so a perfect recovery cancels
-    a generated input bit for bit.
+    summation order of the package: reconstruction, remainders and synthetic
+    generation go through it, and :func:`verify` follows it entry by entry,
+    so a perfect recovery cancels a generated input bit for bit.
     """
     acc = CoeffField.empty(dim, p)
     yield acc
@@ -453,7 +466,11 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
     tail_start = len(ns) - window
     space = config.input_space
 
-    input_norms = tuple(input_space_norm(dec.inputs[n], space) for n in ns)
+    known = dec.input_norms
+    if known is not None and known[0] == space:
+        input_norms = tuple(known[1][n] for n in ns)
+    else:
+        input_norms = tuple(input_space_norm(dec.inputs[n], space) for n in ns)
     tail_input_min = min(input_norms[tail_start:]) if ns else 0.0
     profile_norms = tuple(input_space_norm(g.profile, space) for g in dec.groups)
 
@@ -472,8 +489,13 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
             )
 
     # Each profile is transformed once per index; the placed profiles feed
-    # both the partial sums (only the remainder norms are kept) and the cross
-    # table, which takes both orders of a pair from one cell pass.
+    # both the remainders and the cross table, which takes both orders of a
+    # pair from one cell pass.
+    for f in [dec.inputs[n] for n in ns] + [g.profile for g in dec.groups]:
+        if f.dim != dec.dim:
+            raise ValueError("dimension mismatch")
+        if f.p != dec.p:
+            raise ValueError("reference exponent mismatch")
     groups = len(dec.groups)
     levels = range(groups + 1)
     rem_norms: list[list[float]] = [[] for _ in levels]
@@ -481,11 +503,32 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
     table = [[[0.0] * len(ns) for _ in range(groups)] for _ in range(groups)]
     for pos, n in enumerate(ns):
         placed = [transform(g.profile, g.anchor_affine(n)) for g in dec.groups]
-        for level, recon in enumerate(partial_sums(placed, dec.dim, dec.p)):
-            rem = combine(dec.inputs[n], recon, 1.0, -1.0)
-            rem_norms[level].append(remainder_space_norm(rem, config))
+        given = dec.inputs[n]
+        source = given.entries
+        # From one level to the next the partial sum and the remainder change
+        # only on the support of the profile added, so only those entries are
+        # recomputed, with the float operations of :func:`remainder`: the
+        # input minus the :func:`partial_sums` sum, exact zeros dropped.  A
+        # zero kept in ``partial`` adds exactly like an absent entry, and the
+        # norms do not depend on entry order.
+        partial: dict[WaveletIndex, float] = {}
+        rem = dict(source)
+        for level in levels:
+            if level:
+                for index, amp in placed[level - 1].entries.items():
+                    total = partial.get(index, 0.0) + amp
+                    partial[index] = total
+                    value = source.get(index, 0.0) - total
+                    if not math.isfinite(value):
+                        raise ValueError("amplitudes must be finite")
+                    if value != 0.0:
+                        rem[index] = value
+                    else:
+                        rem.pop(index, None)
+            current = CoeffField._unchecked(given.dim, given.p, dict(rem))
+            rem_norms[level].append(remainder_space_norm(current, config))
             if pos >= tail_start:
-                excess[level].append(input_space_norm(rem, space) - input_norms[pos])
+                excess[level].append(input_space_norm(current, space) - input_norms[pos])
         if dec.p != 2.0:
             for i in range(groups):
                 for k in range(i + 1, groups):

@@ -50,6 +50,15 @@ class CoeffField:
         object.__setattr__(self, "entries", MappingProxyType(clean))
 
     @classmethod
+    def _unchecked(cls, dim: int, p: float, entries: dict[WaveletIndex, float]) -> CoeffField:
+        """The field of valid ``entries``, which it takes over without a copy."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "dim", dim)
+        object.__setattr__(field, "p", p)
+        object.__setattr__(field, "entries", MappingProxyType(entries))
+        return field
+
+    @classmethod
     def empty(cls, dim: int, p: float) -> CoeffField:
         return cls(dim, p, {})
 
@@ -84,7 +93,8 @@ def transform(field: CoeffField, tau: DyadicAffine) -> CoeffField:
     """Remap every index through ``tau``; amplitudes and (dim, p) are unchanged."""
     if tau.dim != field.dim:
         raise ValueError("dimension mismatch")
-    return CoeffField(
+    # An affine map is injective, so the checked amplitudes move to distinct indices.
+    return CoeffField._unchecked(
         field.dim,
         field.p,
         {act_on_index(tau, index): amp for index, amp in field.entries.items()},
@@ -102,7 +112,10 @@ def combine(f: CoeffField, g: CoeffField, alpha: float = 1.0, beta: float = 1.0)
         out[index] = alpha * amp
     for index, amp in g.entries.items():
         out[index] = out.get(index, 0.0) + beta * amp
-    return CoeffField(f.dim, f.p, {k: v for k, v in out.items() if v != 0.0})
+    # The inputs are checked fields; only the values computed here need a check.
+    if not all(map(math.isfinite, out.values())):
+        raise ValueError("amplitudes must be finite")
+    return CoeffField._unchecked(f.dim, f.p, {k: v for k, v in out.items() if v != 0.0})
 
 
 def scale(field: CoeffField, factor: float) -> CoeffField:

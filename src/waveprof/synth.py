@@ -5,8 +5,9 @@ parameter laws, optionally buried under small-amplitude noise placed on fresh
 indices, and returns both the sequence and the decomposition an extractor is
 expected to recover.  Specs whose parameter laws do not separate, whose
 transformed indices leave the integer lattice, whose planted supports collide
-anywhere in the generated range, or that would generate more than
-``MAX_GENERATED_ENTRIES`` coefficients are rejected before any file is written.
+anywhere in the generated range, that would generate more than
+``MAX_GENERATED_ENTRIES`` coefficients, or whose noise would need draws from
+more than 2**64 values are rejected before any file is written.
 
 Randomness comes from an explicit SplitMix64 stream so corpora are
 reproducible from the seed alone, independent of the host platform.
@@ -35,7 +36,8 @@ class SeededStream:
     """SplitMix64: state advances by the golden-ratio increment, output is the
     mixed state (xor-shift by 30/27/31 with the usual two odd multipliers).
     Uniform integers use rejection sampling, so every draw is unbiased and
-    reproducible across implementations."""
+    reproducible across implementations; a bound may be at most 2**64, the
+    range of one output."""
 
     def __init__(self, seed: int) -> None:
         self._state = seed & _MASK64
@@ -50,6 +52,8 @@ class SeededStream:
     def below(self, bound: int) -> int:
         if bound <= 0:
             raise ValueError("bound must be positive")
+        if bound > 1 << 64:
+            raise ValueError("bound must be at most 2**64")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             raw = self.next_raw()
@@ -147,6 +151,23 @@ def _check_spec(spec: SyntheticSpec) -> None:
         raise ValueError(
             f"n_count times (planted entries + noise count) exceeds {MAX_GENERATED_ENTRIES}"
         )
+    if spec.noise_count:
+        # The placed scale of an entry is linear in n, so its largest value
+        # over the range is at n = 1 or n = n_count.
+        top = max(
+            planted.law.params(n)[0] + index.scale
+            for planted in spec.profiles
+            for n in (1, spec.n_count)
+            for index in planted.field.entries
+        )
+        scale = _noise_scale(top)
+        # Each noise shift component and generator is one SeededStream draw,
+        # which spans at most 2**64 values; there are 2**dim - 1 generators.
+        if _noise_span(spec) << scale > 1 << 64 or spec.dim > 64:
+            raise ValueError(
+                f"noise at scale {scale} in dimension {spec.dim} needs draws "
+                "from more than 2**64 values"
+            )
     if len(spec.profiles) > 1 and spec.n_count < 2:
         raise ValueError("divergence of several laws needs n_count >= 2")
     for i in range(len(spec.profiles)):
@@ -231,6 +252,16 @@ def _reframed_groups(spec: SyntheticSpec, retained: tuple[int, ...]) -> list[Pro
     return groups
 
 
+def _noise_scale(top_scale: int) -> int:
+    """Scale of the noise entries: finer than every planted one, and at least 1."""
+    return max(top_scale, 0) + 1
+
+
+def _noise_span(spec: SyntheticSpec) -> int:
+    """Width, in cubes of the noise scale, of the shift range of one input's noise."""
+    return 4 * spec.noise_count
+
+
 def _noise_scale_and_offset(planted: list[CoeffField]) -> tuple[int, int]:
     # An entry at scale j with shift k / 2**d covers a cube whose farthest
     # edge from the origin, per axis, is (|k| + 2**d) / 2**(j + d).
@@ -244,13 +275,13 @@ def _noise_scale_and_offset(planted: list[CoeffField]) -> tuple[int, int]:
             for c in index.shift.numerators:
                 edge = abs(c) + (1 << denom_exp)
                 reach = max(reach, -(-edge >> exponent) if exponent >= 0 else edge << -exponent)
-    return top_scale + 1, reach + 1
+    return _noise_scale(top_scale), reach + 1
 
 
 def _noise_field(
     spec: SyntheticSpec, stream: SeededStream, n: int, scale: int, offset: int
 ) -> CoeffField:
-    span = 4 * spec.noise_count
+    span = _noise_span(spec)
     base = (offset + (n - 1) * span) << scale
     width = span << scale
     entries: dict[WaveletIndex, float] = {}

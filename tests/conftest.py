@@ -81,6 +81,55 @@ def gap_oracle(a, b) -> float:
     return abs(ja - jb) + rel.euclidean_norm()
 
 
+# Index arithmetic by its defining formulas, built through the public
+# constructors, which check and normalise every result.  The library builds
+# these results in lowest terms directly; they must agree in value, hash and
+# representation.
+
+
+def scaled_oracle(v: DyadicRationalVec, exponent: int) -> DyadicRationalVec:
+    if exponent >= 0:
+        return DyadicRationalVec(tuple(c << exponent for c in v.numerators), v.denom_exp)
+    return DyadicRationalVec(v.numerators, v.denom_exp - exponent)
+
+
+def add_oracle(a: DyadicRationalVec, b: DyadicRationalVec) -> DyadicRationalVec:
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    exp = max(a.denom_exp, b.denom_exp)
+    nums = tuple(
+        (x << (exp - a.denom_exp)) + (y << (exp - b.denom_exp))
+        for x, y in zip(a.numerators, b.numerators)
+    )
+    return DyadicRationalVec(nums, exp)
+
+
+def neg_oracle(v: DyadicRationalVec) -> DyadicRationalVec:
+    return DyadicRationalVec(tuple(-c for c in v.numerators), v.denom_exp)
+
+
+def sub_oracle(a: DyadicRationalVec, b: DyadicRationalVec) -> DyadicRationalVec:
+    return add_oracle(a, neg_oracle(b))
+
+
+def relative_map_oracle(anchor, target) -> DyadicAffine:
+    """k1 - 2**(j1 - j0) * k0 over scale j1 - j0."""
+    (j0, k0), (j1, k1) = anchor, target
+    delta = int(j1) - int(j0)
+    shift = sub_oracle(
+        DyadicRationalVec.from_ints(k1), scaled_oracle(DyadicRationalVec.from_ints(k0), delta)
+    )
+    return DyadicAffine(delta, shift)
+
+
+def act_on_index_oracle(tau: DyadicAffine, index: WaveletIndex) -> WaveletIndex:
+    return WaveletIndex(
+        index.gen,
+        tau.scale + index.scale,
+        add_oracle(scaled_oracle(tau.shift, index.scale), index.shift),
+    )
+
+
 def _square_function_grids(fields) -> tuple[list[np.ndarray], float]:
     """Square functions of ``fields`` rendered on one dense grid, and its cell volume.
 

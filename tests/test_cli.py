@@ -158,6 +158,22 @@ class TestGenerate:
         assert name in done.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_noise_at_a_wide_scale_exits_2(self, tmp_path):
+        # The noise shifts of a profile planted at scale 70 would be drawn
+        # from a range wider than 2**64; generate once looped on it forever.
+        wide = {"kind": "constant", "j0": 70, "k0": [0]}
+        profile = dict(SPEC_OBJ["profiles"][0], law=wide)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(dict(SPEC_OBJ, profiles=[profile], noise={"amp": 1e-4, "count": 3})))
+        env = dict(os.environ, PYTHONPATH=str(Path(waveprof.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "waveprof.cli", "generate", str(path), str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 2
+        assert "noise" in done.stderr and "scale 71" in done.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override_changes_noise(self, corpus, tmp_path):
         spec_path, corpus_dir, _ = corpus[0] / "spec.json", corpus[1], corpus[2]
         other = corpus[0] / "other"

@@ -18,7 +18,19 @@ from waveprof.dyadic import (
     orthogonality_gap,
     relative_map,
 )
-from conftest import apply_affine, cube_bounds, gap_oracle, in_cube, lattice_index
+from conftest import (
+    act_on_index_oracle,
+    add_oracle,
+    apply_affine,
+    cube_bounds,
+    gap_oracle,
+    in_cube,
+    lattice_index,
+    neg_oracle,
+    relative_map_oracle,
+    scaled_oracle,
+    sub_oracle,
+)
 
 
 def vec(*nums, e=0):
@@ -239,3 +251,106 @@ class TestRelativeMap:
 
     def test_identity_for_equal_params(self):
         assert relative_map((3, (4,)), (3, (4,))).is_identity
+
+
+# Denominator exponents: integral, small, and far beyond any numerator's bits.
+_denom_exps = st.one_of(st.just(0), st.integers(1, 6), st.integers(100, 5000))
+
+
+@st.composite
+def dim_and_vecs(draw, count):
+    dim = draw(st.integers(1, 3))
+    nums = st.lists(st.integers(-2**70, 2**70), min_size=dim, max_size=dim).map(tuple)
+    return dim, [DyadicRationalVec(draw(nums), draw(_denom_exps)) for _ in range(count)]
+
+
+def assert_same_vec(got, want):
+    """Equal value, hash and representation, and one dict key with a public equal."""
+    assert got == want
+    assert hash(got) == hash(want)
+    assert (got.numerators, got.denom_exp) == (want.numerators, want.denom_exp)
+    assert all(type(c) is int for c in got.numerators) and type(got.denom_exp) is int
+    public = DyadicRationalVec(got.numerators, got.denom_exp)
+    assert {public: "public"}[got] == "public" and {got: "built"}[public] == "built"
+    assert len({got, want, public}) == 1
+
+
+def assert_same_index(got, want):
+    assert got == want
+    assert hash(got) == hash(want)
+    assert (got.gen, got.scale) == (want.gen, want.scale)
+    assert_same_vec(got.shift, want.shift)
+    public = WaveletIndex(got.gen, got.scale, DyadicRationalVec(got.shift.numerators, got.shift.denom_exp))
+    assert {public: "public"}[got] == "public" and {got: "built"}[public] == "built"
+
+
+class TestLowestTermsByConstruction:
+    """Results built in lowest terms directly equal the checked formulas."""
+
+    @given(dim_and_vecs(1), st.one_of(st.integers(-8, 8), st.integers(-6000, 6000)))
+    @example((1, [DyadicRationalVec((4,), 0)]), -3)
+    @example((2, [DyadicRationalVec((-6, 8), 0)]), -200)
+    @example((3, [DyadicRationalVec((0, 0, 0), 0)]), -5)
+    @example((1, [DyadicRationalVec((3,), 5)]), 9)
+    def test_scaled_by_pow2(self, dim_vecs, exponent):
+        _, (v,) = dim_vecs
+        assert_same_vec(v.scaled_by_pow2(exponent), scaled_oracle(v, exponent))
+
+    @given(dim_and_vecs(2))
+    @example((1, [DyadicRationalVec((1,), 1), DyadicRationalVec((1,), 1)]))
+    @example((2, [DyadicRationalVec((3, -5), 2), DyadicRationalVec((-3, 5), 2)]))
+    @example((1, [DyadicRationalVec((-7,), 0), DyadicRationalVec((1,), 3000)]))
+    def test_sum_difference_and_negation(self, dim_vecs):
+        _, (a, b) = dim_vecs
+        assert_same_vec(a + b, add_oracle(a, b))
+        assert_same_vec(a - b, sub_oracle(a, b))
+        assert_same_vec(-a, neg_oracle(a))
+
+    @given(lattice_param_pairs())
+    @example(((0, (3,)), (-5, (7,))))
+    @example(((4, (2, -6)), (1, (8, 0))))
+    @example(((-2, (1, -9)), (-2, (1, -9))))
+    @example(((5, (0, 0, 0)), (-300, (0, 4, -8))))
+    def test_relative_map(self, pair):
+        anchor, target = pair
+        got, want = relative_map(anchor, target), relative_map_oracle(anchor, target)
+        assert got == want and got.scale == want.scale
+        assert_same_vec(got.shift, want.shift)
+
+    def test_relative_map_dimension_mismatch(self):
+        for delta in (-2, 0, 3):
+            with pytest.raises(ValueError):
+                relative_map((0, (0,)), (delta, (0, 0)))
+
+    @given(dim_and_vecs(2), st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 7))
+    @example((1, [DyadicRationalVec((2,), 0), DyadicRationalVec((4,), 0)]), 0, -2, 1)
+    @example((2, [DyadicRationalVec((1, 3), 2), DyadicRationalVec((-1, -3), 2)]), 1, 0, 3)
+    def test_act_on_index(self, dim_vecs, tau_scale, index_scale, gen):
+        dim, (tau_shift, index_shift) = dim_vecs
+        tau = DyadicAffine(tau_scale, tau_shift)
+        index = WaveletIndex(1 + (gen - 1) % ((1 << dim) - 1), index_scale, index_shift)
+        assert_same_index(act_on_index(tau, index), act_on_index_oracle(tau, index))
+
+    @given(dim_and_vecs(1), st.integers(1, 7), st.integers(-9, 9))
+    def test_hash_is_that_of_the_field_tuple(self, dim_vecs, gen, scale):
+        # The hash the generated dataclass method gave, so sets and dicts of
+        # indices keep their iteration order.
+        dim, (v,) = dim_vecs
+        index = WaveletIndex(1 + (gen - 1) % ((1 << dim) - 1), scale, v)
+        assert hash(v) == hash((v.numerators, v.denom_exp))
+        assert hash(index) == hash((index.gen, index.scale, v))
+
+    def test_instances_have_no_dict(self):
+        index = lattice_index(1, 0, 3)
+        for obj in (index, index.shift, index.shift.scaled_by_pow2(-1)):
+            assert not hasattr(obj, "__dict__")
+        with pytest.raises(AttributeError):
+            index.gen = 2
+        with pytest.raises(AttributeError):
+            index.shift.denom_exp = 1
+
+    def test_repr_is_unchanged(self):
+        index = WaveletIndex(1, 2, DyadicRationalVec((3,), 1))
+        assert repr(index) == (
+            "WaveletIndex(gen=1, scale=2, shift=DyadicRationalVec(numerators=(3,), denom_exp=1))"
+        )

@@ -5,21 +5,28 @@ import math
 import pytest
 
 from waveprof.dyadic import DyadicAffine, DyadicRationalVec, WaveletIndex
+import numpy as np
+
+from waveprof import extract, field
 from waveprof.extract import (
     BesovInput,
+    Decomposition,
     ExtractConfig,
     LpInput,
+    ProfileGroup,
     cross_interaction,
     extract_profiles,
     input_space_norm,
     reconstruct,
     remainder,
+    remainder_space_norm,
     verify,
 )
-from waveprof.field import CoeffField, combine
+from waveprof.io_json import decomposition_from_obj, decomposition_to_obj
+from waveprof.field import CoeffField, combine, transform
 from waveprof.norms import coeff_lp, interpolation_check, lp_norm, sup_amplitude
 from waveprof.synth import ParamLaw, PlantedProfile, SyntheticSpec, generate
-from conftest import lattice_index
+from conftest import lattice_index, random_field
 
 
 def lp_config(p=4.0, **overrides) -> ExtractConfig:
@@ -470,3 +477,200 @@ class TestBesovMode:
         # Scale-invariant input norm: every input has the same norm.
         norms = {input_space_norm(f, cfg.input_space) for f in fields}
         assert len(norms) == 1
+
+
+def _planted_groups(rng, dim, p, count, n_count, overlap):
+    """``count`` groups with random profiles; ``overlap`` places them all on one frame."""
+    groups = []
+    for _ in range(count):
+        profile = random_field(rng, dim, p, max_entries=4, scale_lo=-1, scale_hi=1,
+                               shift_bound=2, denom_exp_max=1)
+        if overlap:
+            anchors = {n: (0, (0,) * dim) for n in range(1, n_count + 1)}
+        else:
+            anchors = {
+                n: (int(rng.integers(-1, 2)), tuple(int(rng.integers(-3, 4)) for _ in range(dim)))
+                for n in range(1, n_count + 1)
+            }
+        groups.append(ProfileGroup(anchors, (), profile))
+    return groups
+
+
+def _random_decomposition(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 3))
+    p = (2.0, 4.0, 6.0)[seed % 3]
+    n_count = 5
+    groups = _planted_groups(rng, dim, p, int(rng.integers(1, 4)), n_count, overlap=seed % 2 == 0)
+    inputs = {}
+    for n in range(1, n_count + 1):
+        noise = random_field(rng, dim, p, max_entries=6, scale_lo=-1, scale_hi=2, shift_bound=4)
+        # Part of a placed profile, so that some remainder entries cancel exactly.
+        placed = transform(groups[0].profile, groups[0].anchor_affine(n))
+        kept = dict(list(placed.entries.items())[: int(rng.integers(0, len(placed) + 1))])
+        inputs[n] = CoeffField(dim, p, {**noise.entries, **kept}) if placed.is_lattice else noise
+    return Decomposition(dim, p, inputs, tuple(groups), tuple(range(1, n_count + 1)), ())
+
+
+def _cancelling_decomposition():
+    """Two opposite profiles on one index, then one equal to the input there."""
+    index = lattice_index(1, 0, 0)
+    x = 0.7
+    profiles = [(index, 0.3), (index, -0.3), (index, x), (lattice_index(1, 1, 1), 0.1)]
+    anchors = {n: (0, (0,)) for n in (1, 2, 3)}
+    groups = tuple(
+        ProfileGroup(anchors, (), CoeffField.from_items(1, 4.0, [entry])) for entry in profiles
+    )
+    inputs = {
+        n: CoeffField.from_items(1, 4.0, [(index, x), (lattice_index(1, 2, n), 0.25)])
+        for n in (1, 2, 3)
+    }
+    return Decomposition(1, 4.0, inputs, groups, (1, 2, 3), ())
+
+
+def _config_for(dec):
+    return lp_config(dec.p, tail_window=2)
+
+
+class TestIncrementalRemainders:
+    """verify updates each remainder on the new profile's support only."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_norms_match_the_full_rebuild(self, seed):
+        dec = _random_decomposition(seed)
+        self._check(dec, _config_for(dec))
+
+    def test_overlap_and_exact_cancellation(self):
+        dec = _cancelling_decomposition()
+        config = _config_for(dec)
+        # Level 2: the two opposite profiles sum to exactly 0.0, so the
+        # remainder is the input; level 3: the input entry cancels to 0.0.
+        assert remainder(dec, 2, 1) == dec.inputs[1]
+        assert len(remainder(dec, 3, 1)) == len(dec.inputs[1]) - 1
+        self._check(dec, config)
+
+    def test_besov_mode(self):
+        dec = _random_decomposition(4)
+        config = ExtractConfig(
+            max_iterations=4, tail_window=2, conv_tol=1e-9, bound_threshold=6.0,
+            stop_epsilon=1e-9, input_space=BesovInput(dec.p, 2.0, 2.0), remainder_space=(3.0, 4.0),
+        )
+        self._check(dec, config)
+
+    @staticmethod
+    def _check(dec, config):
+        report = verify(dec, config)
+        window = config.tail_window
+        for level, rem_report in enumerate(report.remainders):
+            want = [remainder_space_norm(remainder(dec, level, n), config) for n in dec.retained]
+            assert [v.hex() for v in rem_report.norms] == [v.hex() for v in want]
+            excess = [
+                input_space_norm(remainder(dec, level, n), config.input_space)
+                - input_space_norm(dec.inputs[n], config.input_space)
+                for n in dec.retained[-window:]
+            ]
+            assert report.margins[level].hex() == max(excess).hex()
+
+    def test_verify_makes_no_combine_call(self, monkeypatch):
+        # The full rebuild made n * (2G + 1) combine calls: G + 1 remainders
+        # and G partial sums per retained index n.
+        calls = []
+        original = field.combine
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(field, "combine", counted)
+        monkeypatch.setattr(extract, "combine", counted)
+        dec = _cancelling_decomposition()
+        verify(dec, _config_for(dec))
+        assert calls == []
+        remainder(dec, 1, 1)
+        assert calls, "the counter sees the combine calls of remainder"
+
+    def test_overflowing_partial_sum_still_raises(self):
+        # Two profiles of 0.9e308 on one index sum past the float range.  The
+        # Besov exponents keep every norm before that sum finite.
+        index = lattice_index(1, 0, 0)
+        profile = CoeffField.from_items(1, 4.0, [(index, 0.9e308)])
+        anchors = {n: (0, (0,)) for n in (1, 2)}
+        groups = (ProfileGroup(anchors, (), profile),) * 2
+        inputs = {n: CoeffField.from_items(1, 4.0, [(lattice_index(1, 0, 5), 1.0)]) for n in (1, 2)}
+        dec = Decomposition(1, 4.0, inputs, groups, (1, 2), ())
+        config = ExtractConfig(
+            max_iterations=4, tail_window=2, conv_tol=1e-9, bound_threshold=6.0,
+            stop_epsilon=1e-9, input_space=BesovInput(4.0, 1.0, 1.0),
+            remainder_space=(1.0001, 1.0001),
+        )
+        remainder_space_norm(remainder(dec, 1, 1), config)
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            remainder(dec, 2, 1)
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            verify(dec, config)
+
+
+def _cross_shaped_corpus():
+    """A small cross-1d-like corpus: p = 4, Lebesgue mode, translating profiles."""
+    profiles = tuple(
+        PlantedProfile(
+            CoeffField.from_items(1, 4.0, [(lattice_index(1, 0, 0), amp), (lattice_index(1, 1, 1), amp / 4)]),
+            ParamLaw("translation", 0, (offset,), velocity=(velocity,)),
+        )
+        for amp, offset, velocity in ((1.0, 0, 9), (0.6, 3, 21), (0.35, -5, -14))
+    )
+    spec = SyntheticSpec(dim=1, p=4.0, profiles=profiles, n_count=10, seed=3)
+    fields, _ = generate(spec)
+    return fields
+
+
+class TestOneInputNormPass:
+    def _count_lp_norm(self, monkeypatch):
+        calls = []
+
+        def counted(f):
+            calls.append(1)
+            return lp_norm(f)
+
+        monkeypatch.setattr(extract, "lp_norm", counted)
+        return calls
+
+    def test_decompose_measures_each_input_once(self, monkeypatch):
+        fields = _cross_shaped_corpus()
+        config = lp_config(max_iterations=8, tail_window=3)
+        calls = self._count_lp_norm(monkeypatch)
+        dec = extract_profiles(fields, config)
+        extracted = len(calls)
+        report = verify(dec, config)
+        groups, window = len(dec.groups), config.tail_window
+        assert dec.retained == tuple(range(1, len(fields) + 1)) and groups == 3
+        assert extracted == len(fields)
+        # The rebuild measured the retained inputs again in verify: one
+        # lp_norm call per input more than this, for the same report.
+        before = len(fields) + len(dec.retained) + groups + window * (groups + 1)
+        assert len(calls) == before - len(fields)
+        assert report.input_norms == tuple(lp_norm(f) for f in fields)
+
+    def test_stored_decomposition_measures_every_input(self, monkeypatch):
+        fields = _cross_shaped_corpus()
+        config = lp_config(max_iterations=8, tail_window=3)
+        dec = extract_profiles(fields, config)
+        stored = decomposition_from_obj(decomposition_to_obj(dec), dec.inputs)
+        assert stored.input_norms is None
+        calls = self._count_lp_norm(monkeypatch)
+        assert verify(stored, config) == verify(dec, config)
+        groups = len(dec.groups)
+        rebuilt = len(dec.retained) + groups + config.tail_window * (groups + 1)
+        assert len(calls) == rebuilt + (rebuilt - len(dec.retained))
+
+    def test_other_space_is_measured_again(self):
+        fields = _cross_shaped_corpus()
+        dec = extract_profiles(fields, lp_config(max_iterations=8, tail_window=3))
+        besov = ExtractConfig(
+            max_iterations=8, tail_window=3, conv_tol=1e-9, bound_threshold=6.0,
+            stop_epsilon=1e-9, input_space=BesovInput(4.0, 2.0, 2.0), remainder_space=(3.0, 4.0),
+        )
+        report = verify(dec, besov)
+        assert report.input_norms == tuple(
+            input_space_norm(fields[n - 1], besov.input_space) for n in dec.retained
+        )

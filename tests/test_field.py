@@ -173,3 +173,33 @@ class TestScale:
     def test_scalar_multiple(self):
         f = fld(4.0, (lattice_index(1, 0, 0), 1.5))
         assert dict(scale(f, -2.0).entries) == {lattice_index(1, 0, 0): -3.0}
+
+
+class TestBuiltFromCheckedFields:
+    """combine and transform skip the re-check of entries already checked."""
+
+    def test_combine_overflow_still_raises(self):
+        f = fld(4.0, (lattice_index(1, 0, 0), 1e308))
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            combine(f, f)
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            combine(f, f, 2.0, 0.5)
+
+    def test_results_equal_their_checked_rebuild(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            dim = int(rng.integers(1, 4))
+            f = random_field(rng, dim=dim, denom_exp_max=2)
+            g = random_field(rng, dim=dim, denom_exp_max=2)
+            tau = random_affine(rng, dim=dim)
+            for built in (combine(f, g, 1.0, -1.0), combine(f, f, 1.0, -1.0), transform(f, tau)):
+                rebuilt = CoeffField(built.dim, built.p, dict(built.entries))
+                assert built == rebuilt and type(built.p) is float
+                assert all(v != 0.0 and math.isfinite(v) for v in built.entries.values())
+            assert len(combine(f, f, 1.0, -1.0)) == 0
+
+    def test_results_do_not_share_input_mappings(self):
+        f = fld(4.0, (lattice_index(1, 0, 0), 1.0))
+        moved = transform(f, DyadicAffine.identity(1))
+        assert moved == f and moved.entries is not f.entries
+        assert combine(f, CoeffField.empty(1, 4.0)).entries is not f.entries

@@ -222,6 +222,43 @@ class TestSeededStream:
         units = [stream.unit() for _ in range(200)]
         assert all(0.0 <= u < 1.0 for u in units)
 
+    def test_bound_beyond_one_draw_is_rejected(self):
+        stream = SeededStream(7)
+        assert 0 <= stream.below(1 << 64) < 1 << 64
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            stream.below((1 << 64) + 1)
+
+
+class TestNoiseDrawWidth:
+    def _spec(self, j0, count):
+        planted = PlantedProfile(
+            CoeffField.from_items(1, 4.0, [(lattice_index(1, 0, 0), 1.0)]),
+            ParamLaw("scaling", j0, (0,), scale_step=-1),
+        )
+        return SyntheticSpec(1, 4.0, (planted,), n_count=4, seed=3, noise_amp=1e-4, noise_count=count)
+
+    def test_widest_draw_generates(self):
+        # The planted scale is largest at n = 1, where it is j0 - 1.  Noise
+        # sits one scale finer, and 4 noise entries draw from 16 << 60 = 2**64.
+        fields, _ = generate(self._spec(60, 4))
+        assert all(len(f) == 5 for f in fields)
+
+    def test_wider_draw_is_rejected_before_any_work(self):
+        with pytest.raises(ValueError, match="noise at scale 60"):
+            validate_spec(self._spec(60, 5))
+        with pytest.raises(ValueError, match="noise at scale 61"):
+            generate(self._spec(61, 4))
+
+    def test_generators_beyond_one_draw_are_rejected(self):
+        dim = 65
+        planted = PlantedProfile(
+            CoeffField.from_items(dim, 4.0, [(lattice_index(1, 0, *[0] * dim), 1.0)]),
+            ParamLaw("constant", 0, (0,) * dim),
+        )
+        spec = SyntheticSpec(dim, 4.0, (planted,), n_count=2, seed=3, noise_amp=1e-4, noise_count=2)
+        with pytest.raises(ValueError, match="noise at scale 1 in dimension 65"):
+            generate(spec)
+
 
 class TestAlignFrames:
     def config(self):
