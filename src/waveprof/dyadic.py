@@ -28,21 +28,6 @@ def _normalize(numerators: tuple[int, ...], denom_exp: int) -> tuple[tuple[int, 
     return numerators, denom_exp
 
 
-def _lowest_terms(numerators: tuple[int, ...], denom_exp: int) -> tuple[tuple[int, ...], int]:
-    """Check int numerators and a denominator exponent, and put them in lowest terms."""
-    if len(numerators) < 1:
-        raise ValueError("dimension must be at least 1")
-    if denom_exp < 0:
-        raise ValueError("denom_exp must be nonnegative")
-    return _normalize(numerators, int(denom_exp))
-
-
-def _check_generator(gen: int, dim: int) -> None:
-    top = (1 << dim) - 1
-    if not 1 <= gen <= top:
-        raise ValueError(f"generator {gen} out of range [1, {top}]")
-
-
 # The index classes are built by the hundred thousand and hashed on every
 # dict operation, so they carry slots and a hash computed once, equal to the
 # hash the generated dataclass method would give.  Public constructors check
@@ -60,7 +45,12 @@ class DyadicRationalVec:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        nums, exp = _lowest_terms(tuple(int(c) for c in self.numerators), self.denom_exp)
+        nums = tuple(int(c) for c in self.numerators)
+        if len(nums) < 1:
+            raise ValueError("dimension must be at least 1")
+        if self.denom_exp < 0:
+            raise ValueError("denom_exp must be nonnegative")
+        nums, exp = _normalize(nums, int(self.denom_exp))
         object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "denom_exp", exp)
         object.__setattr__(self, "_hash", hash((nums, exp)))
@@ -101,35 +91,22 @@ class DyadicRationalVec:
 
     def scaled_by_pow2(self, exponent: int) -> DyadicRationalVec:
         """Exact multiplication of the value by ``2**exponent``."""
-        exp = self.denom_exp
         if exponent >= 0:
-            # Cancelling 2**step against the denominator leaves an odd
-            # numerator over any denominator that remains.
-            step = min(exponent, exp)
-            nums = tuple(c << (exponent - step) for c in self.numerators)
-            return DyadicRationalVec._unchecked(nums, exp - step)
-        if exp:
-            # Some numerator is odd, so a larger denominator stays in lowest terms.
-            return DyadicRationalVec._unchecked(self.numerators, exp - exponent)
-        return DyadicRationalVec._unchecked(*_normalize(self.numerators, -exponent))
+            nums, exp = tuple(c << exponent for c in self.numerators), self.denom_exp
+        else:
+            nums, exp = self.numerators, self.denom_exp - exponent
+        return DyadicRationalVec._unchecked(*_normalize(nums, exp))
 
     def __add__(self, other: DyadicRationalVec) -> DyadicRationalVec:
         if len(self.numerators) != len(other.numerators):
             raise ValueError("dimension mismatch")
         a_exp, b_exp = self.denom_exp, other.denom_exp
-        if a_exp == b_exp:
-            nums = tuple(a + b for a, b in zip(self.numerators, other.numerators))
-            if a_exp == 0:
-                return DyadicRationalVec._unchecked(nums, 0)
-            return DyadicRationalVec._unchecked(*_normalize(nums, a_exp))
-        # Over the larger denominator the finer operand has an odd numerator
-        # and the other an even one, so their sum there is odd.
         exp = max(a_exp, b_exp)
         nums = tuple(
             (a << (exp - a_exp)) + (b << (exp - b_exp))
             for a, b in zip(self.numerators, other.numerators)
         )
-        return DyadicRationalVec._unchecked(nums, exp)
+        return DyadicRationalVec._unchecked(*_normalize(nums, exp))
 
     def __neg__(self) -> DyadicRationalVec:
         return DyadicRationalVec._unchecked(tuple(-c for c in self.numerators), self.denom_exp)
@@ -152,7 +129,9 @@ class WaveletIndex:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_generator(self.gen, self.shift.dim)
+        top = (1 << self.shift.dim) - 1
+        if not 1 <= self.gen <= top:
+            raise ValueError(f"generator {self.gen} out of range [1, {top}]")
         object.__setattr__(self, "_hash", hash((self.gen, self.scale, self.shift)))
 
     @classmethod

@@ -147,8 +147,10 @@ class Decomposition:
     the largest input-space norm of the inputs when extraction produced the
     decomposition, and ``None`` for a planted one from :func:`~waveprof.synth.generate`.
     ``input_norms`` is the space extraction measured the inputs in and their
-    norms by sequence index, which :func:`verify` reuses in that space; it is
-    not part of the report, so a decomposition loaded from one has ``None``.
+    norms by sequence index, which :func:`verify` reuses in that space.  Only
+    :func:`extract_profiles` sets it: it is not an ``__init__`` argument, so a
+    decomposition built by hand, loaded from a report or made with
+    :func:`dataclasses.replace` has ``None`` and is measured afresh.
     """
 
     dim: int
@@ -159,7 +161,7 @@ class Decomposition:
     diagnostics: tuple[str, ...]
     input_norm_max: float | None = None
     input_norms: tuple[InputSpace, Mapping[int, float]] | None = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -330,7 +332,7 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
             ProfileGroup(anchors, tuple(group.members), CoeffField(dim, p, entries))
         )
 
-    return Decomposition(
+    dec = Decomposition(
         dim=dim,
         p=p,
         inputs=inputs,
@@ -338,8 +340,9 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
         retained=tuple(retained),
         diagnostics=tuple(diagnostics),
         input_norm_max=input_norm_max,
-        input_norms=(config.input_space, MappingProxyType(input_norms)),
     )
+    object.__setattr__(dec, "input_norms", (config.input_space, MappingProxyType(input_norms)))
+    return dec
 
 
 def partial_sums(profiles: Sequence[CoeffField], dim: int, p: float) -> Iterator[CoeffField]:

@@ -13,13 +13,7 @@ import json
 import math
 from typing import Any, Mapping
 
-from .dyadic import (
-    DyadicAffine,
-    DyadicRationalVec,
-    WaveletIndex,
-    _check_generator,
-    _lowest_terms,
-)
+from .dyadic import DyadicAffine, DyadicRationalVec, WaveletIndex
 from .extract import (
     BesovInput,
     Decomposition,
@@ -143,17 +137,12 @@ def _entry_obj(index: WaveletIndex, amp: float) -> dict:
 
 
 def _entry_from_obj(obj: Any, dim: int) -> tuple[WaveletIndex, float]:
-    # The checks and messages of the public index constructors, in their
-    # order, made once on the checked ints; the index is then built as is.
     obj = _check(obj, "entry", dict)
-    numerators = _shift(obj, "k", dim, "entry")
-    shift = DyadicRationalVec._unchecked(
-        *_lowest_terms(numerators, _get(obj, "denom_exp", "entry", int, 0))
+    shift = DyadicRationalVec(
+        _shift(obj, "k", dim, "entry"), _get(obj, "denom_exp", "entry", int, 0)
     )
-    gen = _get(obj, "i", "entry", int)
-    scale = _get(obj, "j", "entry", int)
-    _check_generator(gen, dim)
-    return WaveletIndex._unchecked(gen, scale, shift), _get(obj, "amp", "entry", float)
+    index = WaveletIndex(_get(obj, "i", "entry", int), _get(obj, "j", "entry", int), shift)
+    return index, _get(obj, "amp", "entry", float)
 
 
 def _entries_obj(field: CoeffField) -> list:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -674,3 +675,20 @@ class TestOneInputNormPass:
         assert report.input_norms == tuple(
             input_space_norm(fields[n - 1], besov.input_space) for n in dec.retained
         )
+
+    def test_replaced_inputs_are_measured_afresh(self):
+        fields = _cross_shaped_corpus()
+        config = lp_config(max_iterations=8, tail_window=3)
+        dec = extract_profiles(fields, config)
+        other = {n: field.scale(f, 2.0) for n, f in dec.inputs.items()}
+        swapped = dataclasses.replace(dec, inputs=other)
+        assert swapped.input_norms is None
+        report = verify(swapped, config)
+        assert report.input_norms == tuple(lp_norm(other[n]) for n in dec.retained)
+        assert report.input_norms != verify(dec, config).input_norms
+
+    def test_input_norms_are_not_an_init_argument(self):
+        dec = extract_profiles(_cross_shaped_corpus(), lp_config(max_iterations=8, tail_window=3))
+        with pytest.raises(TypeError):
+            Decomposition(dec.dim, dec.p, dec.inputs, dec.groups, dec.retained, (),
+                          input_norms=dec.input_norms)

@@ -9,9 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from waveprof.dyadic import DyadicRationalVec, WaveletIndex
 from waveprof.extract import extract_profiles
-from waveprof.field import CoeffField
 from waveprof.io_json import (
     config_from_obj,
     decomposition_from_obj,
@@ -107,38 +105,3 @@ def test_one_bad_value_raises_only_value_error(name, data):
         load(_mutated(doc, path, replacement))
     except ValueError:
         pass
-
-
-@st.composite
-def _entries(draw):
-    dim = draw(st.integers(0, 3))
-    k = draw(st.lists(st.integers(-2**66, 2**66), min_size=dim, max_size=dim))
-    entry = {
-        "i": draw(st.integers(-1, 8)),
-        "j": draw(st.integers(-70, 70)),
-        "k": k,
-        "denom_exp": draw(st.one_of(st.integers(-2, 6), st.integers(60, 400))),
-        "amp": 0.5,
-    }
-    return dim, entry
-
-
-@given(_entries())
-def test_loaded_index_equals_the_public_construction(dim_entry):
-    # The loader checks once and builds the index directly; value, hash and
-    # error message must be those of the checked public constructors.
-    dim, entry = dim_entry
-    obj = {"dimension": dim, "p": 4.0, "entries": [entry]}
-    try:
-        shift = DyadicRationalVec(tuple(entry["k"]), entry["denom_exp"])
-        want = CoeffField.from_items(dim, 4.0, [(WaveletIndex(entry["i"], entry["j"], shift), 0.5)])
-    except ValueError as exc:
-        with pytest.raises(ValueError) as caught:
-            field_from_obj(obj)
-        assert str(caught.value) == str(exc)
-        return
-    got = field_from_obj(obj)
-    assert got == want
-    (index,) = got.entries
-    (expected,) = want.entries
-    assert hash(index) == hash(expected) and repr(index) == repr(expected)
