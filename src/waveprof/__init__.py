@@ -22,7 +22,6 @@ from .extract import (
     cross_interaction,
     extract_profiles,
     input_space_norm,
-    partial_sums,
     reconstruct,
     remainder,
     remainder_space_norm,
@@ -57,7 +56,7 @@ __all__ = [
     "invert", "magnitude", "orthogonality_gap", "relative_map",
     "BesovInput", "Decomposition", "ExtractConfig", "GroupMember", "LpInput",
     "ProfileGroup", "VerificationReport", "cross_interaction", "extract_profiles",
-    "input_space_norm", "partial_sums", "reconstruct", "remainder",
+    "input_space_norm", "reconstruct", "remainder",
     "remainder_space_norm", "verify",
     "CoeffField", "combine", "rank", "split_top", "transform",
     "BesovParams", "EmbeddingChainReport", "InterpolationCheck",

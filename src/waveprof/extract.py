@@ -18,10 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .dyadic import (
     DyadicAffine,
+    DyadicRationalVec,
     LatticeParams,
     WaveletIndex,
     magnitude,
@@ -29,7 +30,7 @@ from .dyadic import (
     relative_map,
 )
 from .field import CoeffField, combine, rank, transform
-from .norms import BesovParams, besov_norm, cross_square_pair, lp_norm
+from .norms import BesovParams, _lp_of, besov_norm, cross_square_pair, lp_norm
 
 STABILITY_TOL = 1e-9
 
@@ -110,13 +111,13 @@ def remainder_space_norm(field: CoeffField, config: ExtractConfig) -> float:
 class GroupMember:
     """One extracted component of a profile.
 
-    ``rel_map`` carries the anchor frame onto this component and is the
-    identity for the anchor member itself; ``rank`` is the global extraction
-    rank (1-based, unique across all groups).
+    ``index`` is the component's wavelet index in the anchor frame: its scale
+    and shift are the constant relative map from the anchor, so the anchor
+    member itself sits at scale 0 and shift 0; ``rank`` is the global
+    extraction rank (1-based, unique across all groups).
     """
 
-    gen: int
-    rel_map: DyadicAffine
+    index: WaveletIndex
     amplitude: float
     rank: int
 
@@ -151,6 +152,11 @@ class Decomposition:
     :func:`extract_profiles` sets it: it is not an ``__init__`` argument, so a
     decomposition built by hand, loaded from a report or made with
     :func:`dataclasses.replace` has ``None`` and is measured afresh.
+
+    Construction checks the structure, whoever builds the decomposition:
+    inputs and profiles share ``dim`` and ``p``, ``retained`` lists input
+    indices in strictly increasing order, and every group has an anchor at
+    every retained index.
     """
 
     dim: int
@@ -166,9 +172,18 @@ class Decomposition:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inputs", MappingProxyType(dict(self.inputs)))
+        if any(f.dim != self.dim or f.p != self.p for f in self.inputs.values()):
+            raise ValueError("inputs do not match the stored decomposition")
+        if list(self.retained) != sorted(set(self.retained) & self.inputs.keys()):
+            raise ValueError("decomposition retained must list strictly increasing corpus indices")
+        for position, group in enumerate(self.groups):
+            if group.profile.dim != self.dim or group.profile.p != self.p:
+                raise ValueError(f"group {position} profile does not match the decomposition")
+            if any(n not in group.anchor_params for n in self.retained):
+                raise ValueError(f"group {position} lacks anchor rows for retained indices")
 
     def require_retained(self, n: int) -> None:
-        if n not in self.inputs or n not in set(self.retained):
+        if n not in self.retained:
             raise ValueError(f"sequence index {n} is not retained")
 
 
@@ -292,7 +307,8 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
                         f"{len(retained) - len(keep)} indices"
                     )
                     retained = keep
-                group.members.append(GroupMember(modal_gen, constant, limit_amp, next_rank))
+                index = WaveletIndex._unchecked(modal_gen, constant.scale, constant.shift)
+                group.members.append(GroupMember(index, limit_amp, next_rank))
                 attached = True
                 break
             gaps = [magnitude(r) for r in tail_rel]
@@ -303,7 +319,8 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
             if not separated:
                 ambiguous = True
         if not attached:
-            anchor = GroupMember(modal_gen, DyadicAffine.identity(dim), limit_amp, next_rank)
+            origin = WaveletIndex._unchecked(modal_gen, 0, DyadicRationalVec.zero(dim))
+            anchor = GroupMember(origin, limit_amp, next_rank)
             groups.append(_WorkingGroup(dict(params), anchor))
             if ambiguous:
                 diagnostics.append(
@@ -323,10 +340,9 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
                     "omitted from the profile"
                 )
                 continue
-            index = WaveletIndex(member.gen, member.rel_map.scale, member.rel_map.shift)
-            if index in entries:
+            if member.index in entries:
                 raise RuntimeError("distinct members collided on one profile index")
-            entries[index] = member.amplitude
+            entries[member.index] = member.amplitude
         anchors = {n: group.anchors[n] for n in retained}
         final_groups.append(
             ProfileGroup(anchors, tuple(group.members), CoeffField(dim, p, entries))
@@ -345,29 +361,19 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
     return dec
 
 
-def partial_sums(profiles: Sequence[CoeffField], dim: int, p: float) -> Iterator[CoeffField]:
-    """Sums of the first L transformed profiles, for L = 0..len(profiles).
-
-    ``profiles`` are the group profiles already moved to one sequence index
-    (``transform(group.profile, group.anchor_affine(n))``).  This is the one
-    summation order of the package: reconstruction, remainders and synthetic
-    generation go through it, and :func:`verify` follows it entry by entry,
-    so a perfect recovery cancels a generated input bit for bit.
-    """
-    acc = CoeffField.empty(dim, p)
-    yield acc
-    for placed in profiles:
-        acc = combine(acc, placed)
-        yield acc
-
-
 def reconstruct(dec: Decomposition, level: int, n: int) -> CoeffField:
-    """Sum of the first ``level`` transformed profiles at sequence index ``n``."""
+    """Sum of the first ``level`` transformed profiles at sequence index ``n``.
+
+    The profiles are added in group order with :func:`combine`.  This is the
+    reference summation: :func:`verify` follows it entry by entry, so a
+    perfect recovery cancels a generated input bit for bit.
+    """
     if not 0 <= level <= len(dec.groups):
         raise ValueError(f"level {level} out of range")
     dec.require_retained(n)
-    placed = [transform(g.profile, g.anchor_affine(n)) for g in dec.groups[:level]]
-    *_, acc = partial_sums(placed, dec.dim, dec.p)
+    acc = CoeffField.empty(dec.dim, dec.p)
+    for g in dec.groups[:level]:
+        acc = combine(acc, transform(g.profile, g.anchor_affine(n)))
     return acc
 
 
@@ -455,7 +461,7 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
 
     Pairwise anchor gaps pass when nondecreasing on the tail window with final
     value at least bound_threshold.  Remainder norms (input minus the
-    :func:`partial_sums` at each level) are tabulated in the remainder space
+    :func:`reconstruct` sum at each level) are tabulated in the remainder space
     per level with tail maxima.  Stability compares the
     aggregated profile norms against the tail minimum of the input norms:
     p-th-power sums in Lebesgue mode, an l^tau norm with tau = max(a, q) in
@@ -494,11 +500,6 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
     # Each profile is transformed once per index; the placed profiles feed
     # both the remainders and the cross table, which takes both orders of a
     # pair from one cell pass.
-    for f in [dec.inputs[n] for n in ns] + [g.profile for g in dec.groups]:
-        if f.dim != dec.dim:
-            raise ValueError("dimension mismatch")
-        if f.p != dec.p:
-            raise ValueError("reference exponent mismatch")
     groups = len(dec.groups)
     levels = range(groups + 1)
     rem_norms: list[list[float]] = [[] for _ in levels]
@@ -511,7 +512,7 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
         # From one level to the next the partial sum and the remainder change
         # only on the support of the profile added, so only those entries are
         # recomputed, with the float operations of :func:`remainder`: the
-        # input minus the :func:`partial_sums` sum, exact zeros dropped.  A
+        # input minus the :func:`reconstruct` sum, exact zeros dropped.  A
         # zero kept in ``partial`` adds exactly like an absent entry, and the
         # norms do not depend on entry order.
         partial: dict[WaveletIndex, float] = {}
@@ -550,10 +551,7 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
         rhs = tail_input_min**space.p
     else:
         aggregation = max(space.a, space.q)
-        if aggregation == math.inf:
-            lhs = max(profile_norms, default=0.0)
-        else:
-            lhs = math.fsum(v**aggregation for v in profile_norms) ** (1.0 / aggregation)
+        lhs = _lp_of(profile_norms, aggregation)
         rhs = tail_input_min
     stability = StabilityReport(
         aggregation=aggregation,

@@ -13,7 +13,7 @@ import json
 import math
 from typing import Any, Mapping
 
-from .dyadic import DyadicAffine, DyadicRationalVec, WaveletIndex
+from .dyadic import DyadicRationalVec, WaveletIndex
 from .extract import (
     BesovInput,
     Decomposition,
@@ -220,11 +220,12 @@ def config_from_obj(obj: Any) -> ExtractConfig:
 
 
 def _member_obj(member: GroupMember) -> dict:
+    index = member.index
     return {
-        "gen": member.gen,
-        "scale": member.rel_map.scale,
-        "shift": list(member.rel_map.shift.numerators),
-        "denom_exp": member.rel_map.shift.denom_exp,
+        "gen": index.gen,
+        "scale": index.scale,
+        "shift": list(index.shift.numerators),
+        "denom_exp": index.shift.denom_exp,
         "amplitude": member.amplitude,
         "rank": member.rank,
     }
@@ -235,8 +236,7 @@ def _member_from_obj(obj: Any, dim: int) -> GroupMember:
     obj = _check(obj, what, dict)
     shift = DyadicRationalVec(_shift(obj, "shift", dim, what), _get(obj, "denom_exp", what, int, 0))
     return GroupMember(
-        gen=_get(obj, "gen", what, int),
-        rel_map=DyadicAffine(_get(obj, "scale", what, int), shift),
+        index=WaveletIndex(_get(obj, "gen", what, int), _get(obj, "scale", what, int), shift),
         amplitude=_get(obj, "amplitude", what, float),
         rank=_get(obj, "rank", what, int),
     )
@@ -289,26 +289,16 @@ def decomposition_from_obj(obj: Any, inputs: Mapping[int, CoeffField]) -> Decomp
     p = _get(obj, "p", what, float)
     if len(inputs) != _get(obj, "count", what, int):
         raise ValueError("input count does not match the stored decomposition")
-    for field in inputs.values():
-        if field.dim != dim or field.p != p:
-            raise ValueError("inputs do not match the stored decomposition")
     retained = tuple(
         _check(n, "retained index", int) for n in _get(obj, "retained", what, list, [])
     )
-    if list(retained) != sorted(set(retained) & inputs.keys()):
-        raise ValueError("decomposition retained must list strictly increasing corpus indices")
     groups = tuple(_group_from_obj(g, dim, p) for g in _get(obj, "groups", what, list, []))
     for position, group in enumerate(groups):
-        if any(n not in group.anchor_params for n in retained):
-            raise ValueError(f"group {position} lacks anchor rows for retained indices")
         # Extraction builds a profile from its nonzero members, one entry each.
-        members = [
-            (WaveletIndex(m.gen, m.rel_map.scale, m.rel_map.shift), m.amplitude)
-            for m in group.members
-            if m.amplitude != 0.0
-        ]
+        members = [(m.index, m.amplitude) for m in group.members if m.amplitude != 0.0]
         if len(members) != len(group.profile) or dict(members) != group.profile.entries:
             raise ValueError(f"group {position} members do not match its profile")
+    # The decomposition checks its own structure: dimensions, retained, anchors.
     return Decomposition(
         dim=dim,
         p=p,

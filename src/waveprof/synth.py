@@ -16,6 +16,7 @@ reproducible from the seed alone, independent of the host platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .dyadic import (
     DyadicAffine,
@@ -26,7 +27,7 @@ from .dyadic import (
     invert,
     orthogonality_gap,
 )
-from .extract import Decomposition, GroupMember, ProfileGroup, partial_sums
+from .extract import Decomposition, GroupMember, ProfileGroup
 from .field import CoeffField, combine, order_key, rank, transform
 
 _MASK64 = (1 << 64) - 1
@@ -151,23 +152,6 @@ def _check_spec(spec: SyntheticSpec) -> None:
         raise ValueError(
             f"n_count times (planted entries + noise count) exceeds {MAX_GENERATED_ENTRIES}"
         )
-    if spec.noise_count:
-        # The placed scale of an entry is linear in n, so its largest value
-        # over the range is at n = 1 or n = n_count.
-        top = max(
-            planted.law.params(n)[0] + index.scale
-            for planted in spec.profiles
-            for n in (1, spec.n_count)
-            for index in planted.field.entries
-        )
-        scale = _noise_scale(top)
-        # Each noise shift component and generator is one SeededStream draw,
-        # which spans at most 2**64 values; there are 2**dim - 1 generators.
-        if _noise_span(spec) << scale > 1 << 64 or spec.dim > 64:
-            raise ValueError(
-                f"noise at scale {scale} in dimension {spec.dim} needs draws "
-                "from more than 2**64 values"
-            )
     if len(spec.profiles) > 1 and spec.n_count < 2:
         raise ValueError("divergence of several laws needs n_count >= 2")
     for i in range(len(spec.profiles)):
@@ -202,8 +186,8 @@ def _placed(spec: SyntheticSpec, n: int) -> list[CoeffField]:
 def validate_spec(spec: SyntheticSpec) -> None:
     """Reject specs that cannot produce a cleanly recoverable sequence."""
     _check_spec(spec)
-    for n in range(1, spec.n_count + 1):
-        _placed(spec, n)
+    # The placements are made lazily, so one index's are held at a time.
+    _noise_frame(spec, (f for n in range(1, spec.n_count + 1) for f in _placed(spec, n)))
 
 
 def _entry_affine(index: WaveletIndex) -> DyadicAffine:
@@ -226,48 +210,42 @@ def _reframed_groups(spec: SyntheticSpec, retained: tuple[int, ...]) -> list[Pro
         for n in retained:
             moved = act_on_index(planted.law.affine(n), anchor_index)
             anchors[n] = (moved.scale, moved.shift.numerators)
-        members = [
-            (index.gen, _entry_affine(index), amp)
-            for index, amp in sorted(profile.entries.items(), key=lambda kv: order_key(kv[0]))
-        ]
+        members = sorted(profile.entries.items(), key=lambda kv: order_key(kv[0]))
         staged.append((anchors, members, profile))
 
     flat = [
         (-abs(amp), gi, mi)
         for gi, (_, members, _) in enumerate(staged)
-        for mi, (_, _, amp) in enumerate(members)
+        for mi, (_, amp) in enumerate(members)
     ]
     ranks = {key[1:]: pos + 1 for pos, key in enumerate(sorted(flat))}
 
     groups = []
     for gi, (anchors, members, profile) in enumerate(staged):
         ordered = sorted(
-            (
-                GroupMember(gen, rel, amp, ranks[(gi, mi)])
-                for mi, (gen, rel, amp) in enumerate(members)
-            ),
+            (GroupMember(index, amp, ranks[(gi, mi)]) for mi, (index, amp) in enumerate(members)),
             key=lambda m: m.rank,
         )
         groups.append(ProfileGroup(anchors, tuple(ordered), profile))
     return groups
 
 
-def _noise_scale(top_scale: int) -> int:
-    """Scale of the noise entries: finer than every planted one, and at least 1."""
-    return max(top_scale, 0) + 1
+def _noise_frame(spec: SyntheticSpec, placed: Iterable[CoeffField]) -> tuple[int, int, int]:
+    """Noise scale, offset and span, from every placed planted entry.
 
-
-def _noise_span(spec: SyntheticSpec) -> int:
-    """Width, in cubes of the noise scale, of the shift range of one input's noise."""
-    return 4 * spec.noise_count
-
-
-def _noise_scale_and_offset(planted: list[CoeffField]) -> tuple[int, int]:
+    The scale is one finer than every planted entry's and at least 1.  Input
+    n draws each shift component from the ``span << scale`` values starting
+    at ``(offset + (n - 1) * span) << scale``, beyond every planted cube.  A
+    noisy spec whose draws would span more than 2**64 values is rejected.
+    """
     # An entry at scale j with shift k / 2**d covers a cube whose farthest
     # edge from the origin, per axis, is (|k| + 2**d) / 2**(j + d).
+    span = 4 * spec.noise_count
     top_scale = 0
     reach = 1
-    for field in planted:
+    for field in placed:
+        if not span:
+            continue  # no noise: the placements are only made, for their checks
         for index in field.entries:
             top_scale = max(top_scale, index.scale)
             denom_exp = index.shift.denom_exp
@@ -275,13 +253,21 @@ def _noise_scale_and_offset(planted: list[CoeffField]) -> tuple[int, int]:
             for c in index.shift.numerators:
                 edge = abs(c) + (1 << denom_exp)
                 reach = max(reach, -(-edge >> exponent) if exponent >= 0 else edge << -exponent)
-    return _noise_scale(top_scale), reach + 1
+    scale = top_scale + 1
+    # Each noise shift component and generator is one SeededStream draw,
+    # which spans at most 2**64 values; there are 2**dim - 1 generators.
+    if span and (span << scale > 1 << 64 or spec.dim > 64):
+        raise ValueError(
+            f"noise at scale {scale} in dimension {spec.dim} needs draws "
+            "from more than 2**64 values"
+        )
+    return scale, reach + 1, span
 
 
 def _noise_field(
-    spec: SyntheticSpec, stream: SeededStream, n: int, scale: int, offset: int
+    spec: SyntheticSpec, stream: SeededStream, n: int, frame: tuple[int, int, int]
 ) -> CoeffField:
-    span = _noise_span(spec)
+    scale, offset, span = frame
     base = (offset + (n - 1) * span) << scale
     width = span << scale
     entries: dict[WaveletIndex, float] = {}
@@ -301,25 +287,25 @@ def _noise_field(
 def generate(spec: SyntheticSpec) -> tuple[tuple[CoeffField, ...], Decomposition]:
     """Build the sequence and the decomposition that should be recovered.
 
-    Deterministic given the spec.  Each input is the full
-    :func:`~waveprof.extract.partial_sums` of the placed planted profiles,
-    plus noise.  They equal the truth groups' placed profiles entry for entry
-    and in order, so a perfect recovery cancels the planted components
-    exactly, coefficient by coefficient.  Noise is placed beyond the planted
-    sums' indices; those are exactly the placed indices, because
-    :func:`_placed` rejects colliding supports.
+    Deterministic given the spec.  Each input is the union of the placed
+    planted profiles, which :func:`_placed` guarantees are disjoint, plus
+    noise.  It equals the sum of the truth groups' placed profiles entry for
+    entry, so a perfect recovery cancels the planted components exactly,
+    coefficient by coefficient.  Noise is placed beyond the planted indices.
     """
     _check_spec(spec)
     retained = tuple(range(1, spec.n_count + 1))
     fields = []
     for n in retained:
-        *_, acc = partial_sums(_placed(spec, n), spec.dim, spec.p)
-        fields.append(acc)
+        union: dict[WaveletIndex, float] = {}
+        for placed in _placed(spec, n):
+            union.update(placed.entries)
+        fields.append(CoeffField._unchecked(spec.dim, spec.p, union))
     if spec.noise_count:
         stream = SeededStream(spec.seed)
-        noise_scale, noise_offset = _noise_scale_and_offset(fields)
+        frame = _noise_frame(spec, fields)
         fields = [
-            combine(acc, _noise_field(spec, stream, n, noise_scale, noise_offset))
+            combine(acc, _noise_field(spec, stream, n, frame))
             for n, acc in zip(retained, fields)
         ]
 

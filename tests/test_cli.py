@@ -252,6 +252,27 @@ class TestVerify:
         assert main(["verify", str(report), str(corpus_dir), "--out", str(redo)]) == 0
         assert report.read_bytes() == redo.read_bytes()
 
+    def test_reverification_to_stdout_is_byte_identical(self, corpus, capsys):
+        tmp, corpus_dir, config_path = corpus
+        report = tmp / "report.json"
+        assert main(["decompose", str(corpus_dir), "--config", str(config_path), "--out", str(report)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(report), str(corpus_dir)]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == report.read_bytes()
+
+    def test_corpus_of_another_dimension_exits_2(self, corpus, capsys):
+        tmp, corpus_dir, config_path = corpus
+        report = tmp / "report.json"
+        assert main(["decompose", str(corpus_dir), "--config", str(config_path), "--out", str(report)]) == 0
+        other = tmp / "other"
+        other.mkdir()
+        for path in corpus_dir.glob("field_*.json"):
+            entry = {"i": 1, "j": 0, "k": [0, 0], "denom_exp": 0, "amp": 1.0}
+            (other / path.name).write_text(json.dumps({"dimension": 2, "p": 4.0, "entries": [entry]}))
+        capsys.readouterr()
+        assert main(["verify", str(report), str(other)]) == 2
+        assert "inputs do not match the stored decomposition" in capsys.readouterr().err
+
     def test_missing_sections_exit_2(self, corpus, tmp_path):
         _, corpus_dir, _ = corpus
         bogus = tmp_path / "bogus.json"

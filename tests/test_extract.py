@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from waveprof.dyadic import DyadicAffine, DyadicRationalVec, WaveletIndex
+from waveprof.dyadic import DyadicRationalVec, WaveletIndex
 import numpy as np
 
 from waveprof import extract, field
@@ -119,7 +119,7 @@ class TestConstantSequence:
         group = dec.groups[0]
         assert all(group.anchor_params[n] == (0, (0,)) for n in dec.retained)
         assert group.profile == seq[0]
-        assert group.members[0].rel_map.is_identity
+        assert group.members[0].index == lattice_index(1, 0, 0)
         assert len(remainder(dec, 1, 1)) == 0
         assert dec.diagnostics == ()
 
@@ -211,11 +211,72 @@ class TestBoundedRelativeMap:
         assert len(dec.groups) == 1
         members = dec.groups[0].members
         assert len(members) == 2
-        assert members[0].rel_map.is_identity and members[0].rank == 1
-        assert members[1].rel_map == DyadicAffine.from_lattice(1, (1,))
+        assert members[0].index == lattice_index(1, 0, 0) and members[0].rank == 1
+        assert members[1].index == lattice_index(1, 1, 1)
         assert members[1].amplitude == 0.5
         assert dec.groups[0].profile == profile
         assert all(len(remainder(dec, 1, n)) == 0 for n in dec.retained)
+
+
+def _small_decomposition():
+    """One group over three inputs, every index retained."""
+    profile = CoeffField.from_items(1, 4.0, [(lattice_index(1, 0, 0), 1.0)])
+    anchors = {n: (0, (n,)) for n in (1, 2, 3)}
+    inputs = {n: CoeffField.from_items(1, 4.0, [(lattice_index(1, 0, n), 1.0)]) for n in (1, 2, 3)}
+    return Decomposition(1, 4.0, inputs, (ProfileGroup(anchors, (), profile),), (1, 2, 3), ())
+
+
+def _other_dimension(dec):
+    inputs = dict(dec.inputs)
+    inputs[2] = CoeffField.from_items(2, 4.0, [(lattice_index(1, 0, 0, 0), 1.0)])
+    return {"inputs": inputs}
+
+
+def _other_exponent(dec):
+    profile = CoeffField.from_items(1, 6.0, [(lattice_index(1, 0, 0), 1.0)])
+    return {"groups": (dataclasses.replace(dec.groups[0], profile=profile),)}
+
+
+def _missing_anchor(dec):
+    anchors = {n: dec.groups[0].anchor_params[n] for n in (1, 3)}
+    return {"groups": (dataclasses.replace(dec.groups[0], anchor_params=anchors),)}
+
+
+class TestDecompositionChecksItself:
+    CASES = [
+        (_other_dimension, "inputs do not match the stored decomposition"),
+        (_other_exponent, "group 0 profile does not match the decomposition"),
+        (lambda dec: {"retained": (1, 2, 4)}, "retained must list strictly increasing corpus indices"),
+        (lambda dec: {"retained": (2, 1, 3)}, "retained must list strictly increasing corpus indices"),
+        (lambda dec: {"retained": (1, 1, 3)}, "retained must list strictly increasing corpus indices"),
+        (_missing_anchor, "group 0 lacks anchor rows for retained indices"),
+    ]
+    IDS = [
+        "input-dimension", "profile-exponent", "retained-outside", "retained-unsorted",
+        "retained-repeated", "missing-anchor",
+    ]
+
+    @pytest.mark.parametrize("broken, message", CASES, ids=IDS)
+    def test_hand_built_breach_raises(self, broken, message):
+        dec = _small_decomposition()
+        fields = {
+            "dim": dec.dim, "p": dec.p, "inputs": dec.inputs, "groups": dec.groups,
+            "retained": dec.retained, "diagnostics": dec.diagnostics,
+        }
+        fields.update(broken(dec))
+        with pytest.raises(ValueError, match=message):
+            Decomposition(**fields)
+
+    @pytest.mark.parametrize("broken, message", CASES, ids=IDS)
+    def test_replace_breach_raises(self, broken, message):
+        dec = _small_decomposition()
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(dec, **broken(dec))
+
+    def test_input_outside_retained_is_not_reconstructed(self):
+        dec = dataclasses.replace(_small_decomposition(), retained=(1, 3))
+        with pytest.raises(ValueError, match="sequence index 2 is not retained"):
+            reconstruct(dec, 1, 2)
 
 
 class TestReconstruction:
@@ -290,6 +351,16 @@ class TestDiagnostics:
         assert any("zero limit amplitude" in d for d in dec.diagnostics)
         assert any("amplitude spread" in d for d in dec.diagnostics)
 
+    def test_zero_limit_amplitude_member_survives_a_stored_report(self):
+        fields = [
+            CoeffField.from_items(1, 4.0, [(lattice_index(1, 0, 0), 1.0 if n % 2 else -1.0)])
+            for n in range(1, 7)
+        ]
+        dec = extract_profiles(fields, lp_config(tail_window=4, max_iterations=1))
+        stored = decomposition_from_obj(decomposition_to_obj(dec), dec.inputs)
+        assert stored.groups == dec.groups
+        assert stored.groups[0].members[0].index == lattice_index(1, 0, 0)
+
     def test_exhausted_residuals_are_pruned(self):
         short = [(lattice_index(1, 0, 0), 1.0)]
         long = [(lattice_index(1, 0, 0), 1.0), (lattice_index(1, 2, 9), 0.5)]
@@ -299,6 +370,43 @@ class TestDiagnostics:
         assert any("exhausted" in d for d in dec.diagnostics)
         assert len(dec.groups) == 1
         assert len(dec.groups[0].members) == 2
+
+    def test_relative_map_constancy_prunes_before_the_tail(self):
+        # The second components keep one relative map on the tail window, but
+        # index 1 carries its own at another shift, so the group drops it.
+        second = {1: lattice_index(1, 1, 5)}
+        seq = [
+            CoeffField.from_items(
+                1, 4.0, [(lattice_index(1, 0, 0), 1.0), (second.get(n, lattice_index(1, 1, 1)), 0.5)]
+            )
+            for n in range(1, 6)
+        ]
+        dec = extract_profiles(seq, lp_config())
+        assert dec.diagnostics == ("iterate 2: relative-map constancy dropped 1 indices",)
+        assert dec.retained == (2, 3, 4, 5)
+        assert len(dec.groups) == 1 and len(dec.groups[0].members) == 2
+
+    def test_exhausted_residuals_below_the_tail_window_stop(self):
+        short = [(lattice_index(1, 0, 0), 1.0)]
+        long = [(lattice_index(1, 0, 0), 1.0), (lattice_index(1, 2, 9), 0.5)]
+        dec = extract_profiles(seq_of(short, short, short, long), lp_config())
+        assert dec.diagnostics == (
+            "iterate 2: dropped 3 exhausted residuals",
+            "iterate 2: retained set shrank below the tail window",
+        )
+        assert dec.retained == (4,)
+        assert len(dec.groups) == 1 and dict(dec.groups[0].anchor_params) == {4: (0, (0,))}
+
+    def test_generator_restriction_below_the_tail_window_stops(self):
+        odd = [(lattice_index(3, 0, 0, 0), 1.0)]
+        usual = [(lattice_index(1, 0, 0, 0), 1.0)]
+        dec = extract_profiles(seq_of(odd, odd, usual, usual, dim=2), lp_config())
+        assert dec.diagnostics == (
+            "iterate 1: generator restriction dropped 2 indices",
+            "iterate 1: retained set shrank below the tail window",
+        )
+        assert dec.retained == (3, 4)
+        assert dec.groups == ()
 
 
 class TestStoppingRules:
@@ -478,6 +586,34 @@ class TestBesovMode:
         # Scale-invariant input norm: every input has the same norm.
         norms = {input_space_norm(f, cfg.input_space) for f in fields}
         assert len(norms) == 1
+
+    def test_stability_with_infinite_aggregation(self):
+        spec = SyntheticSpec(
+            dim=1,
+            p=4.0,
+            profiles=(
+                PlantedProfile(
+                    CoeffField.from_items(1, 4.0, [(lattice_index(1, 0, 0), 0.8)]),
+                    ParamLaw("constant", 0, (0,)),
+                ),
+                PlantedProfile(
+                    CoeffField.from_items(1, 4.0, [(lattice_index(1, 0, 0), 0.5)]),
+                    ParamLaw("scaling", 0, (0,), scale_step=1),
+                ),
+            ),
+            n_count=8,
+            seed=9,
+        )
+        fields, _ = generate(spec)
+        cfg = self.besov_config(
+            input_space=BesovInput(4.0, 2.0, math.inf), remainder_space=(4.0, math.inf)
+        )
+        rep = verify(extract_profiles(fields, cfg), cfg)
+        # Norms below 1 tell the maximum from the finite-exponent formula,
+        # which gives 0.0 ** 0.0 == 1.0 at an infinite exponent.
+        assert len(rep.profile_norms) == 2 and max(rep.profile_norms) < 1.0
+        assert rep.stability.aggregation == math.inf
+        assert rep.stability.lhs.hex() == max(rep.profile_norms).hex()
 
 
 def _planted_groups(rng, dim, p, count, n_count, overlap):

@@ -260,6 +260,43 @@ class TestNoiseDrawWidth:
             generate(spec)
 
 
+class TestNoiseFrame:
+    def test_validate_spec_places_one_index_at_a_time(self, monkeypatch):
+        placed_at, frame = synth._placed, synth._noise_frame
+        log, received = [], []
+
+        def logged(spec, n):
+            log.append(n)
+            return placed_at(spec, n)
+
+        def watched(spec, fields):
+            kept = []
+            for f in fields:
+                received.append(len(log))
+                kept.append(f)
+            return frame(spec, kept)
+
+        monkeypatch.setattr(synth, "_placed", logged)
+        monkeypatch.setattr(synth, "_noise_frame", watched)
+        validate_spec(simple_spec(noise_amp=1e-4, noise_count=2))
+        # Two profiles per index, each received before the next index is placed.
+        assert received == [n for n in range(1, 9) for _ in range(2)]
+
+    def test_generate_and_validate_spec_share_the_frame(self, monkeypatch):
+        frames = []
+        frame = synth._noise_frame
+
+        def recorded(spec, fields):
+            frames.append(frame(spec, fields))
+            return frames[-1]
+
+        monkeypatch.setattr(synth, "_noise_frame", recorded)
+        spec = simple_spec(noise_amp=1e-4, noise_count=2)
+        validate_spec(spec)
+        generate(spec)
+        assert len(frames) == 2 and frames[0] == frames[1]
+
+
 class TestAlignFrames:
     def config(self):
         return ExtractConfig(
@@ -320,6 +357,7 @@ class TestAlignFrames:
 
     def test_dimension_mismatch(self):
         _, truth = generate(simple_spec())
-        other = dataclasses.replace(truth, dim=2)
-        with pytest.raises(ValueError):
+        planted = PlantedProfile(unit_profile(1.0, dim=2), ParamLaw("constant", 0, (0, 0)))
+        _, other = generate(simple_spec(dim=2, profiles=(planted,)))
+        with pytest.raises(ValueError, match="decompositions must share dimension"):
             align_frames(truth, other)
