@@ -9,17 +9,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .dyadic import DyadicAffine, WaveletIndex, act_on_index
 
 
-def order_key(index: WaveletIndex) -> tuple:
-    """Deterministic total order on indices: scale, shift value, generator."""
-    shift = tuple(Fraction(n, 1 << index.shift.denom_exp) for n in index.shift.numerators)
-    return (index.scale, shift, index.gen)
+def order_key(field: CoeffField) -> Callable[[WaveletIndex], tuple]:
+    """The canonical order on the indices of ``field``, as a key: scale, shift value, generator.
+
+    Shifts compare as integers at the field's largest ``denom_exp``, which
+    orders them exactly as their rational values do.
+    """
+    top = max((index.shift.denom_exp for index in field.entries), default=0)
+
+    def key(index: WaveletIndex) -> tuple:
+        shift = index.shift
+        stretch = top - shift.denom_exp
+        nums = shift.numerators if not stretch else tuple([n << stretch for n in shift.numerators])
+        return (index.scale, nums, index.gen)
+
+    return key
 
 
 @dataclass(frozen=True)
@@ -130,8 +140,8 @@ def rank(field: CoeffField) -> tuple[tuple[WaveletIndex, float], ...]:
     The key totally orders distinct indices, so removing the top entry of a
     field leaves the ranking of the rest unchanged.
     """
-    ordered = sorted(field.entries.items(), key=lambda kv: (-abs(kv[1]),) + order_key(kv[0]))
-    return tuple(ordered)
+    key = order_key(field)
+    return tuple(sorted(field.entries.items(), key=lambda kv: (-abs(kv[1]),) + key(kv[0])))
 
 
 def split_top(field: CoeffField, count: int) -> tuple[CoeffField, CoeffField]:

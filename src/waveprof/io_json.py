@@ -123,31 +123,38 @@ def _shift(obj: Mapping, key: str, dim: int, what: str) -> tuple[int, ...]:
     return tuple(_check(c, component, int) for c in shift)
 
 
-# -- coefficient fields ------------------------------------------------------
+# -- wavelet indices and coefficient fields ----------------------------------
 
 
-def _entry_obj(index: WaveletIndex, amp: float) -> dict:
+def _index_obj(index: WaveletIndex, gen: str, scale: str, shift: str, **rest: Any) -> dict:
+    """``index`` under the given generator, scale and shift key names, plus ``rest``."""
     return {
-        "i": index.gen,
-        "j": index.scale,
-        "k": list(index.shift.numerators),
+        gen: index.gen,
+        scale: index.scale,
+        shift: list(index.shift.numerators),
         "denom_exp": index.shift.denom_exp,
-        "amp": amp,
+        **rest,
     }
+
+
+def _index_from_obj(
+    obj: Mapping, dim: int, what: str, gen: str, scale: str, shift: str
+) -> WaveletIndex:
+    """The index written by :func:`_index_obj`; keys are read shift first, scale last."""
+    vec = DyadicRationalVec(_shift(obj, shift, dim, what), _get(obj, "denom_exp", what, int, 0))
+    return WaveletIndex(_get(obj, gen, what, int), _get(obj, scale, what, int), vec)
 
 
 def _entry_from_obj(obj: Any, dim: int) -> tuple[WaveletIndex, float]:
     obj = _check(obj, "entry", dict)
-    shift = DyadicRationalVec(
-        _shift(obj, "k", dim, "entry"), _get(obj, "denom_exp", "entry", int, 0)
-    )
-    index = WaveletIndex(_get(obj, "i", "entry", int), _get(obj, "j", "entry", int), shift)
-    return index, _get(obj, "amp", "entry", float)
+    return _index_from_obj(obj, dim, "entry", "i", "j", "k"), _get(obj, "amp", "entry", float)
 
 
 def _entries_obj(field: CoeffField) -> list:
-    ordered = sorted(field.entries.items(), key=lambda kv: order_key(kv[0]))
-    return [_entry_obj(index, amp) for index, amp in ordered]
+    return [
+        _index_obj(index, "i", "j", "k", amp=field.entries[index])
+        for index in sorted(field.entries, key=order_key(field))
+    ]
 
 
 def _entries_from_obj(obj: Mapping, key: str, dim: int, p: float) -> CoeffField:
@@ -219,24 +226,11 @@ def config_from_obj(obj: Any) -> ExtractConfig:
 # -- decompositions and verification reports ---------------------------------
 
 
-def _member_obj(member: GroupMember) -> dict:
-    index = member.index
-    return {
-        "gen": index.gen,
-        "scale": index.scale,
-        "shift": list(index.shift.numerators),
-        "denom_exp": index.shift.denom_exp,
-        "amplitude": member.amplitude,
-        "rank": member.rank,
-    }
-
-
 def _member_from_obj(obj: Any, dim: int) -> GroupMember:
     what = "group member"
     obj = _check(obj, what, dict)
-    shift = DyadicRationalVec(_shift(obj, "shift", dim, what), _get(obj, "denom_exp", what, int, 0))
     return GroupMember(
-        index=WaveletIndex(_get(obj, "gen", what, int), _get(obj, "scale", what, int), shift),
+        index=_index_from_obj(obj, dim, what, "gen", "scale", "shift"),
         amplitude=_get(obj, "amplitude", what, float),
         rank=_get(obj, "rank", what, int),
     )
@@ -248,7 +242,10 @@ def _group_obj(group: ProfileGroup) -> dict:
     ]
     return {
         "anchor": anchor_rows,
-        "members": [_member_obj(m) for m in group.members],
+        "members": [
+            _index_obj(m.index, "gen", "scale", "shift", amplitude=m.amplitude, rank=m.rank)
+            for m in group.members
+        ],
         "profile": _entries_obj(group.profile),
     }
 

@@ -7,9 +7,9 @@ The Lebesgue-equivalent norm integrates the square function
 whose p/2 power is piecewise constant on an arrangement of dyadic cubes.  The
 arrangement is resolved exactly: all cube boundaries are integers at a common
 finest resolution, and a power-of-two subdivision splits only cells that meet
-a cube boundary.  Cost is bounded by entry count times the scale range, which
-is the intended desk-scale envelope.  The only rounding is in floating-point
-powers and sums.
+a cube boundary, each into 2**d children.  Cost is bounded by entry count
+times the scale range times 2**d, the intended desk-scale envelope.  The only
+rounding is in floating-point powers and sums.
 
 Besov-type norms are weighted l^a-in-(generator, shift), l^b-in-scale norms of
 the amplitudes and involve no geometry at all.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
-from .field import CoeffField
+from .field import CoeffField, order_key
 
 _REL_SLACK = 1e-12
 
@@ -125,22 +125,15 @@ _Item = tuple[tuple[int, ...], int, float]
 
 
 def _square_items(field: CoeffField, resolution: int) -> list[_Item]:
-    """The boxes of ``field`` at ``resolution``, in ``field.order_key`` order of their indices.
-
-    At one scale the box corner is the shift value times a common power of two,
-    so sorting on (scale, corner, generator) gives exactly the ``order_key``
-    order without building its fractions.
-    """
-    keyed = []
+    """The boxes of ``field`` at ``resolution``, in ``order_key`` order of their indices."""
     two_d_over_p = 2.0 * field.dim / field.p
-    for index, amp in field.entries.items():
-        j, shift = index.scale, index.shift
+    items = []
+    for index in sorted(field.entries, key=order_key(field)):
+        j, shift, amp = index.scale, index.shift, field.entries[index]
         stretch = resolution - j - shift.denom_exp
         lo = tuple(n << stretch for n in shift.numerators)
-        weight = amp * amp * 2.0 ** (two_d_over_p * j)
-        keyed.append(((j, lo, index.gen), (lo, resolution - j, weight)))
-    keyed.sort(key=lambda pair: pair[0])
-    return [item for _, item in keyed]
+        items.append((lo, resolution - j, amp * amp * 2.0 ** (two_d_over_p * j)))
+    return items
 
 
 def _finest_resolution(fields: Sequence[CoeffField]) -> int:

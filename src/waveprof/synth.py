@@ -210,7 +210,7 @@ def _reframed_groups(spec: SyntheticSpec, retained: tuple[int, ...]) -> list[Pro
         for n in retained:
             moved = act_on_index(planted.law.affine(n), anchor_index)
             anchors[n] = (moved.scale, moved.shift.numerators)
-        members = sorted(profile.entries.items(), key=lambda kv: order_key(kv[0]))
+        members = [(i, profile.entries[i]) for i in sorted(profile, key=order_key(profile))]
         staged.append((anchors, members, profile))
 
     flat = [
@@ -345,7 +345,7 @@ def _try_match(
     found_group: ProfileGroup, truth_group: ProfileGroup, ns: list[int]
 ) -> tuple[DyadicAffine, float] | None:
     truth_top, _ = rank(truth_group.profile)[0]
-    for f_index in sorted(found_group.profile.entries, key=order_key):
+    for f_index in sorted(found_group.profile.entries, key=order_key(found_group.profile)):
         if f_index.gen != truth_top.gen:
             continue
         sigma = compose(_entry_affine(truth_top), invert(_entry_affine(f_index)))

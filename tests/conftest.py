@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -15,6 +16,12 @@ settings.load_profile("det")
 
 def lattice_index(gen: int, scale: int, *shift: int) -> WaveletIndex:
     return WaveletIndex(gen, scale, DyadicRationalVec.from_ints(shift))
+
+
+def order_key_oracle(index: WaveletIndex) -> tuple:
+    """The canonical index order by its definition: scale, shift value as fractions, generator."""
+    shift = tuple(Fraction(n, 1 << index.shift.denom_exp) for n in index.shift.numerators)
+    return (index.scale, shift, index.gen)
 
 
 def single_entry_field(dim: int, p: float, amp: float, gen=1, scale=0, shift=None) -> CoeffField:

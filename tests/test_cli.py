@@ -325,6 +325,16 @@ def _retained_outside_corpus(report):
     return report, "retained must list strictly increasing corpus indices"
 
 
+def _member_scale_as_string(report):
+    report["decomposition"]["groups"][0]["members"][0]["scale"] = "0"
+    return report, "group member scale must be an integer"
+
+
+def _member_shift_too_long(report):
+    report["decomposition"]["groups"][0]["members"][0]["shift"].append(0)
+    return report, "group member shift must be a list matching the dimension"
+
+
 def _member_off_profile(report):
     report["decomposition"]["groups"][0]["members"][0]["amplitude"] = 5.0
     return report, "group 0 members do not match its profile"
@@ -338,6 +348,13 @@ def _field_without_dimension(field):
 def _entry_without_amplitude(field):
     del field["entries"][0]["amp"]
     return field, "entry lacks the required key 'amp'"
+
+
+def _entry_shift_before_generator(field):
+    # The shift is read first, so a bad shift is named even when the generator is bad too.
+    field["entries"][0]["k"] = [0, 0]
+    field["entries"][0]["i"] = "1"
+    return field, "entry k must be a list matching the dimension"
 
 
 def _field_as_list(field):
@@ -363,17 +380,21 @@ def _entry_amplitude_beyond_floats(field):
         ("verify", _anchor_row),
         ("verify", _report_diagnostics),
         ("verify", _retained_outside_corpus),
+        ("verify", _member_scale_as_string),
+        ("verify", _member_shift_too_long),
         ("verify", _member_off_profile),
         ("norms", _field_without_dimension),
         ("norms", _entry_without_amplitude),
+        ("norms", _entry_shift_before_generator),
         ("norms", _field_as_list),
         ("norms", _field_p_as_list),
         ("norms", _entry_amplitude_beyond_floats),
     ],
     ids=[
         "spec-profile", "spec-entry", "report-member", "anchor-row", "report-diagnostics",
-        "retained-outside-corpus", "member-off-profile",
-        "field-key", "entry-key", "field-list", "field-p-list", "entry-amp-huge",
+        "retained-outside-corpus", "member-scale-string", "member-shift-length",
+        "member-off-profile", "field-key", "entry-key", "entry-shift-first", "field-list",
+        "field-p-list", "entry-amp-huge",
     ],
 )
 def test_malformed_json_shape_exits_2(corpus, capsys, command, corrupt):

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from waveprof.dyadic import DyadicAffine, DyadicRationalVec, WaveletIndex, compose
-from waveprof.field import CoeffField, combine, rank, scale, split_top, transform
+from waveprof.field import CoeffField, combine, order_key, rank, scale, split_top, transform
 from waveprof.norms import BesovParams, besov_norm, coeff_lp, sup_amplitude
-from conftest import lattice_index, random_affine, random_field
+from conftest import lattice_index, order_key_oracle, random_affine, random_field
 
 
 def fld(p, *entries, dim=1):
@@ -113,6 +115,28 @@ class TestRank:
             assert dict(ordered) == dict(f.entries)
             amps = [abs(a) for _, a in ordered]
             assert amps == sorted(amps, reverse=True)
+
+
+@st.composite
+def mixed_denominator_fields(draw):
+    """Fields of dimension 1-3 whose shifts mix denominators 2**0 to 2**8 and both signs."""
+    dim = draw(st.integers(1, 3))
+    shift = st.builds(DyadicRationalVec, st.tuples(*[st.integers(-300, 300)] * dim), st.integers(0, 8))
+    index = st.builds(WaveletIndex, st.integers(1, 2**dim - 1), st.integers(-2, 2), shift)
+    # Few amplitudes, so that ranking often falls back on the index order.
+    amps = st.sampled_from([-2.0, -1.0, 1.0, 2.0])
+    return CoeffField(dim, 4.0, draw(st.dictionaries(index, amps, min_size=1, max_size=16)))
+
+
+class TestOrderKey:
+    @given(mixed_denominator_fields())
+    def test_sorts_as_the_fraction_order(self, f):
+        assert sorted(f.entries, key=order_key(f)) == sorted(f.entries, key=order_key_oracle)
+
+    @given(mixed_denominator_fields())
+    def test_rank_breaks_ties_by_the_fraction_order(self, f):
+        expected = sorted(f.entries.items(), key=lambda kv: (-abs(kv[1]),) + order_key_oracle(kv[0]))
+        assert rank(f) == tuple(expected)
 
 
 class TestSplitTop:

@@ -243,7 +243,11 @@ class TestNoiseDrawWidth:
         fields, _ = generate(self._spec(60, 4))
         assert all(len(f) == 5 for f in fields)
 
-    def test_wider_draw_is_rejected_before_any_work(self):
+    def test_wider_draw_is_rejected_before_any_noise_is_drawn(self, monkeypatch):
+        def no_draw(stream):
+            pytest.fail("noise was drawn before the draw width was checked")
+
+        monkeypatch.setattr(synth.SeededStream, "next_raw", no_draw)
         with pytest.raises(ValueError, match="noise at scale 60"):
             validate_spec(self._spec(60, 5))
         with pytest.raises(ValueError, match="noise at scale 61"):
