@@ -7,7 +7,9 @@ whose profiles carry dyadic-rational shifts and whose cross tables mix zero
 and nonzero values.  Any change to extraction order, the
 summation order of reconstructions or the report schema shows up here.
 The generate digests fix every byte of the field files and truth.json that
-the three specs generate.
+the three specs generate.  The norms digests fix every byte of `waveprof
+norms` on a three-dimensional corpus and on a two-dimensional field whose
+cubes sit off the dyadic grid of their own scale.
 """
 
 from __future__ import annotations
@@ -318,3 +320,80 @@ def test_verify_makes_one_cross_pass_per_overlapping_pair(monkeypatch):
     assert [(c.first, c.second) for c in report.cross] == [
         (i, k) for i in range(groups) for k in range(groups) if i != k
     ]
+
+
+def _entry_3d(gen, scale, shift, amp):
+    return {"i": gen, "j": scale, "k": list(shift), "denom_exp": 0, "amp": amp}
+
+
+# The norms-3d benchmark shape, scaled down: a stationary and a translating
+# profile of four entries each, between them using all seven generators, and
+# noise, so nested and overlapping cubes meet in eight-way subdivisions.
+NORMS_3D_SPEC = {
+    "dimension": 3,
+    "p": 4.0,
+    "n_count": 4,
+    "seed": 3,
+    "profiles": [
+        {
+            "entries": [_entry_3d(1, 0, (0, 0, 0), 0.95), _entry_3d(2, 0, (1, 0, 0), -0.6),
+                        _entry_3d(3, 1, (1, 1, 0), 0.45), _entry_3d(4, 0, (0, 1, 1), -0.3)],
+            "law": {"kind": "constant", "j0": 0, "k0": [0, 0, 0]},
+        },
+        {
+            "entries": [_entry_3d(5, 0, (0, 0, 0), -0.85), _entry_3d(6, 0, (1, 0, 0), 0.5),
+                        _entry_3d(7, 1, (1, 1, 0), -0.4), _entry_3d(1, 0, (0, 1, 1), 0.2)],
+            "law": {"kind": "translation", "j0": 0, "k0": [1, 0, 0], "velocity": [4, 1, 0]},
+        },
+    ],
+    "noise": {"amp": 1e-4, "count": 8},
+}
+
+
+def _entry_2d_rational(gen, scale, shift, denom_exp, amp):
+    return {"i": gen, "j": scale, "k": list(shift), "denom_exp": denom_exp, "amp": amp}
+
+
+# Cubes at scales -1 to 3 whose corners are quarters and halves of their own
+# side as well as whole sides, nested, overlapping and one centred on the
+# origin, at a p whose power of the square function is not an integer.
+NORMS_2D_FIELD = {
+    "dimension": 2,
+    "p": 3.0,
+    "entries": [
+        _entry_2d_rational(1, 0, (0, 0), 0, 0.9),
+        _entry_2d_rational(2, 1, (1, 3), 2, -0.55),
+        _entry_2d_rational(3, 2, (-3, 5), 2, 0.35),
+        _entry_2d_rational(1, 1, (1, 1), 1, 0.7),
+        _entry_2d_rational(2, 0, (-1, 1), 1, -0.25),
+        _entry_2d_rational(3, 3, (2, 3), 0, 0.15),
+        _entry_2d_rational(1, -1, (0, -1), 0, -0.45),
+        _entry_2d_rational(2, 0, (-1, -1), 1, 0.6),
+        _entry_2d_rational(3, 1, (5, -2), 2, -0.8),
+    ],
+}
+
+NORMS_GOLDEN = {
+    "3d": "22b1c335a5fe7c2a7af261f1052bf72b7a29f9e060eb1339ff06f08db23133c6",
+    "2d-rational": "ab0559d5d3a13b5deef9919a1e148d267094d3970d949a37083c41a583788029",
+}
+
+
+def _norms_bytes(capsys, path):
+    assert main(["norms", str(path), "--besov", "0,4,4", "--besov", "0,2,inf"]) == 0
+    return capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("name", ["3d", "2d-rational"])
+def test_norms_digests(tmp_path, capsys, name):
+    if name == "3d":
+        (tmp_path / "spec.json").write_text(json.dumps(NORMS_3D_SPEC))
+        corpus = tmp_path / "corpus"
+        assert main(["generate", str(tmp_path / "spec.json"), str(corpus)]) == 0
+        capsys.readouterr()
+        paths = sorted(corpus.glob("field_*.json"))
+    else:
+        paths = [tmp_path / "field.json"]
+        paths[0].write_text(json.dumps(NORMS_2D_FIELD))
+    text = b"".join(_norms_bytes(capsys, path) for path in paths)
+    assert hashlib.sha256(text).hexdigest() == NORMS_GOLDEN[name]
