@@ -6,10 +6,12 @@ The Lebesgue-equivalent norm integrates the square function
 
 whose p/2 power is piecewise constant on an arrangement of dyadic cubes.  The
 arrangement is resolved exactly: all cube boundaries are integers at a common
-finest resolution, and a power-of-two subdivision splits only cells that meet
-a cube boundary, each into 2**d children.  Cost is bounded by entry count
-times the scale range times 2**d, the intended desk-scale envelope.  The only
-rounding is in floating-point powers and sums.
+finest resolution, and any two dyadic cubes are nested or disjoint, so the
+integrand is constant on each cube minus its largest sub-cubes and no cell is
+ever subdivided.  Cost is the number of distinct cubes times the number of
+distinct scales, with no factor 2**d; a cube whose shift has denominator
+2**k splits first into up to about 2**(d*k) dyadic cubes.  The only rounding
+is in floating-point powers and sums.
 
 Besov-type norms are weighted l^a-in-(generator, shift), l^b-in-scale norms of
 the amplitudes and involve no geometry at all.
@@ -19,13 +21,14 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Sequence
 
 from .field import CoeffField, order_key
 
 _REL_SLACK = 1e-12
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -48,12 +51,17 @@ class BesovParams:
         return cls(dim * (1.0 / a - 1.0 / p), a, b)
 
 
+class _Underflow(ArithmeticError):
+    """A quantity that cannot be zero rounded to zero or to a subnormal float."""
+
+
 def _finite(name: str):
-    """Make an overflow or a non-finite result of a norm a ValueError naming ``name``.
+    """Make a result of a norm outside the normal float range a ValueError naming ``name``.
 
     Scales and amplitudes far out of range overflow float powers (which raise
-    OverflowError) or products (which give inf); either is a bad input, not an
-    internal fault.
+    OverflowError) or products (which give inf), or make a weight, a sum or a
+    cell piece that cannot be zero underflow (see :func:`_normal`); each is a
+    bad input, not an internal fault.
     """
     message = f"{name} overflows the float range"
 
@@ -64,6 +72,8 @@ def _finite(name: str):
                 result = fn(*args, **kwargs)
             except OverflowError:
                 raise ValueError(message) from None
+            except _Underflow:
+                raise ValueError(f"{name} underflows the float range") from None
             values = result if isinstance(result, tuple) else (result,)
             if not all(map(math.isfinite, values)):
                 raise ValueError(message)
@@ -74,12 +84,28 @@ def _finite(name: str):
     return decorate
 
 
+def _normal(x: float) -> float:
+    """``x``, a quantity that cannot be zero, when it is a normal float.
+
+    Zero or subnormal means it underflowed and lost its value or its bits;
+    infinite or NaN means it overflowed.  Either raises, for ``_finite``.
+    """
+    if not abs(x) < math.inf:
+        raise OverflowError
+    if abs(x) < _TINY:
+        raise _Underflow
+    return x
+
+
 def _lp_of(values: Sequence[float], exponent: float) -> float:
     if not values:
         return 0.0
     if exponent == math.inf:
         return max(values)
-    return math.fsum(v**exponent for v in values) ** (1.0 / exponent)
+    total = math.fsum(v**exponent for v in values)
+    if total < _TINY and any(values):
+        raise _Underflow
+    return total ** (1.0 / exponent)
 
 
 def sup_amplitude(field: CoeffField) -> float:
@@ -108,7 +134,7 @@ def besov_norm(field: CoeffField, params: BesovParams) -> float:
     for index, amp in field.entries.items():
         by_scale.setdefault(index.scale, []).append(abs(amp))
     terms = [
-        2.0 ** (weight_exp * j) * _lp_of(amps, params.a)
+        _normal(2.0 ** (weight_exp * j)) * _lp_of(amps, params.a)
         for j, amps in sorted(by_scale.items())
     ]
     return _lp_of(terms, params.b)
@@ -132,7 +158,7 @@ def _square_items(field: CoeffField, resolution: int) -> list[_Item]:
         j, shift, amp = index.scale, index.shift, field.entries[index]
         stretch = resolution - j - shift.denom_exp
         lo = tuple(n << stretch for n in shift.numerators)
-        items.append((lo, resolution - j, amp * amp * 2.0 ** (two_d_over_p * j)))
+        items.append((lo, resolution - j, _normal(amp * amp * 2.0 ** (two_d_over_p * j))))
     return items
 
 
@@ -153,68 +179,120 @@ def _cell_integral(
 ) -> tuple[float, ...]:
     """Integrate each of the ``outputs`` components of evaluate(S_1(x), ..., S_m(x)) dx.
 
-    The integral over R^d is exact by cells: ``evaluate`` is called once per
-    constant cell with the accumulated layer values and returns one value per
-    output; cells not covered by any box are skipped.
+    The integrand is the one a cell tree resolves: a root cell
+    [-2**(r-1), 2**(r-1))**d spanning every box, split into 2**d children
+    wherever a box boundary crosses a cell.  On the path to a cell, a box's
+    weight is added at the first (coarsest) cell it covers, boxes first
+    covering the same cell in listed order.  That order fixes the float sums
+    and so the bits of every result; it depends only on a layer's own boxes
+    and the root, not on which layers share the integral.
 
-    Along the path from the root to a cell, a box's weight is added at the
-    first (coarsest) cell it covers, so boxes that cover a coarser cell are
-    added earlier, and boxes first covering the same cell are added in the
-    order they are listed.  That order fixes the float sums and so the bits of
-    every result.  It depends only on a layer's own boxes and the root, so a
-    layer's values do not depend on which layers share the tree.
-
-    The tree is walked with an explicit stack, so its depth, bounded by the
-    scale range of the boxes, is not limited by Python's recursion limit.
-    Cells are visited in stack order; ``math.fsum`` rounds the cell pieces
-    exactly once, so that order does not reach the result.
+    No cell is subdivided.  The tree adds a box's weight at its maximal
+    dyadic sub-cubes (the box itself when it is one), or at the root when the
+    box is the root.  Dyadic cubes are nested or disjoint, so the values are
+    constant on each cube Q minus its maximal sub-cubes R, and one walk over
+    the distinct cubes, coarse to fine, gives Q its parent's values plus the
+    weights added at Q.  A value v of ``evaluate`` on Q adds the exact
+    products v * vol Q and -v * vol R for each R, and ``math.fsum`` rounds the
+    exact total once, as it rounds the tree's cell pieces.  A cube its
+    sub-cubes tile holds no tree cell and is never evaluated.  Cost is
+    distinct cubes times distinct sides, with no factor 2**d.
     """
-    # Each box as (layer, per-axis half-open span (lo, hi), weight).
-    boxes = [
-        (layer_id, tuple((c, c + (1 << side_exp)) for c in lo), weight)
-        for layer_id, items in enumerate(layers)
-        for (lo, side_exp, weight) in items
-    ]
-    if not boxes:
-        return (0.0,) * outputs
-    extent = max(max(hi, -lo) for _, spans, _ in boxes for lo, hi in spans)
-    root_exp = max(1, (extent - 1).bit_length() + 1)
-    root = ((-(1 << (root_exp - 1)), 1 << (root_exp - 1)),) * dim
+    # Where the tree adds each box's weight, in listed order.
+    weights: dict[tuple[int, tuple[int, ...]], list[tuple[int, float]]] = {}
+    root, root_exp = [0.0] * len(layers), None
+    for layer_id, items in enumerate(layers):
+        for lo, side_exp, weight in items:
+            if not any(c & ((1 << side_exp) - 1) for c in lo):
+                cubes = ((side_exp, lo),)
+            elif _is_root_cell(lo, side_exp, layers):
+                root[layer_id] += weight
+                root_exp = side_exp
+                continue
+            else:
+                cubes = _dyadic_cubes(lo, side_exp)
+            for cube in cubes:
+                weights.setdefault(cube, []).append((layer_id, weight))
+
+    sides = sorted({side_exp for side_exp, _ in weights})
+    coarser = {side_exp: sides[i + 1:] for i, side_exp in enumerate(sides)}
+    acc_of = {None: root}
+    sub_sides: dict = {}
+    for cube in sorted(weights, key=lambda cube: -cube[0]):
+        side_exp, lo = cube
+        parent = None
+        for e in coarser[side_exp]:
+            key = (e, tuple(c & -(1 << e) for c in lo))
+            if key in weights:
+                parent = key
+                break
+        acc = acc_of[parent].copy()
+        for layer_id, weight in weights[cube]:
+            acc[layer_id] += weight
+        acc_of[cube] = acc
+        sub_sides.setdefault(parent, []).append(side_exp)
 
     pieces: list[list[float]] = [[] for _ in range(outputs)]
-    # Children share their parent's accumulator until a covering box is added.
-    stack = [(root, root_exp, boxes, [0.0] * len(layers))]
-    while stack:
-        cell, cell_exp, candidates, acc = stack.pop()
-        partial = []
-        copied = False
-        for box in candidates:
-            layer_id, spans, weight = box
-            covers = True
-            for (lo, hi), (cell_lo, cell_hi) in zip(spans, cell):
-                if hi <= cell_lo or cell_hi <= lo:
-                    break
-                if cell_lo < lo or hi < cell_hi:
-                    covers = False
-            else:
-                if not covers:
-                    partial.append(box)
-                    continue
-                if not copied:
-                    acc = acc.copy()
-                    copied = True
-                acc[layer_id] += weight
-        if partial:
-            # Boundaries are integral, so subdivision always terminates by side 1.
-            halves = [((lo, (lo + hi) >> 1), ((lo + hi) >> 1, hi)) for lo, hi in cell]
-            for child in product(*halves):
-                stack.append((child, cell_exp - 1, partial, acc))
-        elif any(acc):
-            volume = math.ldexp(1.0, (cell_exp - resolution) * dim)
-            for out, value in zip(pieces, evaluate(acc)):
-                if value != 0.0:
-                    out.append(value * volume)
-    return tuple(math.fsum(out) for out in pieces)
+    for cube, acc in acc_of.items():
+        side_exp = root_exp if cube is None else cube[0]
+        subs = sub_sides.get(cube, [])
+        if not any(acc) or sum(1 << (e * dim) for e in subs) == 1 << (side_exp * dim):
+            continue
+        for out, value in zip(pieces, evaluate(acc)):
+            if value != 0.0:
+                out.append(math.ldexp(value, (side_exp - resolution) * dim))
+                out.extend(-math.ldexp(value, (e - resolution) * dim) for e in subs)
+    return tuple(map(_rounded_sum, pieces))
+
+
+def _rounded_sum(products: list[float]) -> float:
+    """``math.fsum`` of products meant to be exact; raises where they were not.
+
+    A product that rounded into the subnormal range, or up to its edge, is off
+    by at most 2**-1075: the sum stands when that much per such product cannot
+    move its rounding.  An infinite product overflowed.
+    """
+    if not all(map(math.isfinite, products)):
+        raise OverflowError
+    total = math.fsum(products)
+    if products and min(map(abs, products)) <= _TINY:
+        slack = math.ldexp(sum(abs(x) <= _TINY for x in products), -1074)
+        if math.fsum(products + [slack]) != total or math.fsum(products + [-slack]) != total:
+            raise _Underflow
+    return total
+
+
+def _is_root_cell(lo: tuple[int, ...], side_exp: int, layers: Sequence[list[_Item]]) -> bool:
+    """Whether a box is the tree's root [-2**(r-1), 2**(r-1))**d: centred, spanning every box."""
+    half = 1 << (side_exp - 1)
+    return all(c == -half for c in lo) and all(
+        -half <= c and c + (1 << e) <= half for items in layers for box, e, _ in items for c in box
+    )
+
+
+def _dyadic_cubes(lo: tuple[int, ...], side_exp: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The maximal dyadic cubes in the box [lo, lo + 2**side_exp)**d, as (side_exp, lo).
+
+    Such a cube lies in the box and its parent does not.  They have sides
+    from half the box's down to the largest power of two dividing every
+    corner coordinate, which tiles the box: up to 2**(d*k) cubes, k the bits
+    between.  Those of one side are read off the grid of that side in the box.
+    """
+    hi = [c + (1 << side_exp) for c in lo]
+    finest = min((c & -c).bit_length() - 1 for c in lo if c)
+    cubes = []
+    for e in range(side_exp - 1, finest - 1, -1):
+        step, parent_mask = 1 << e, -(2 << e)
+        # Grid corners, each with whether its parent lies in the box too.
+        grid: list[tuple[tuple[int, ...], bool]] = [((), True)]
+        for a, b in zip(lo, hi):
+            axis = [
+                (x, a <= x & parent_mask and (x & parent_mask) + 2 * step <= b)
+                for x in range(-(-a >> e) << e, b - step + 1, step)
+            ]
+            grid = [(corner + (x,), nested and inside) for corner, nested in grid for x, inside in axis]
+        cubes.extend((e, corner) for corner, nested in grid if not nested)
+    return cubes
 
 
 def _bounding_box(items: list[_Item]) -> list[tuple[int, int]]:
@@ -241,7 +319,8 @@ def lp_norm(field: CoeffField) -> float:
     (total,) = _cell_integral(
         [items], field.dim, resolution, lambda acc: (acc[0] ** half_p,), 1
     )
-    return total ** (1.0 / field.p)
+    # Every cube carries a positive weight, so a zero mass underflowed.
+    return _normal(total) ** (1.0 / field.p)
 
 
 @_finite("cross-square integral")

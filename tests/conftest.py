@@ -11,6 +11,8 @@ from waveprof.dyadic import DyadicAffine, DyadicRationalVec, WaveletIndex
 from waveprof.field import CoeffField
 
 settings.register_profile("det", deadline=None, derandomize=True, max_examples=50)
+# A longer, still reproducible run, selected with --hypothesis-profile=deep.
+settings.register_profile("deep", deadline=None, derandomize=True, max_examples=1000)
 settings.load_profile("det")
 
 

@@ -488,3 +488,17 @@ class TestNorms:
         }))
         assert main(["norms", str(path)]) == 2
         assert "Lebesgue norm overflows the float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scale, amp", [(-3000, 1.0), (0, 1e-170)], ids=["scale-weight", "squared-amplitude"]
+    )
+    def test_float_underflow_exits_2(self, tmp_path, capsys, scale, amp):
+        # The true Lebesgue norms are 1.0 and 1e-170, not the 0.0 an
+        # underflowed square function gives.
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({
+            "dimension": 1, "p": 4.0,
+            "entries": [{"i": 1, "j": scale, "k": [0], "amp": amp}],
+        }))
+        assert main(["norms", str(path)]) == 2
+        assert "Lebesgue norm underflows the float range" in capsys.readouterr().err

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from waveprof.dyadic import DyadicRationalVec, WaveletIndex
@@ -372,8 +372,47 @@ def _with_recursive_oracle(fn, *args):
         return fn(*args)
 
 
+# Weights near the last bit of 1.0, so that the order of every sum shows.
+_ORDER_WEIGHTS = (1.0, 0.75, 2.0**-53, 1.5 * 2.0**-53, 3.0 * 2.0**-54, 2.0**-52)
+
+
+@st.composite
+def _raw_layers(draw):
+    """1-3 layers of boxes in [-2**(f-1), 2**(f-1))**d, d 1-3, from one pool so cubes repeat.
+
+    A box is a dyadic cube, a box with corners off the grid of its side, or a
+    box centred on the origin.  A centred box of side 2**f is the cell tree's
+    root cell, the one cell that is not a dyadic cube.
+    """
+    dim = draw(st.integers(1, 3))
+    frame = draw(st.integers(1, 3))
+    half = 1 << (frame - 1)
+
+    def box():
+        kind = draw(st.sampled_from(["dyadic", "off-grid", "centred"]))
+        if kind == "centred":
+            side_exp = draw(st.integers(1, frame))
+            return (-(1 << (side_exp - 1)),) * dim, side_exp
+        side_exp = draw(st.integers(0, frame - 1))
+        if kind == "dyadic":
+            k = st.integers(-half >> side_exp, (half >> side_exp) - 1)
+            return tuple(draw(k) << side_exp for _ in range(dim)), side_exp
+        corner = st.integers(-half, half - (1 << side_exp))
+        return tuple(draw(corner) for _ in range(dim)), side_exp
+
+    pool = [box() for _ in range(draw(st.integers(1, 5)))]
+    layers = [
+        [
+            (*draw(st.sampled_from(pool)), draw(st.sampled_from(_ORDER_WEIGHTS)))
+            for _ in range(draw(st.integers(0, 6)))
+        ]
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return layers, dim, draw(st.integers(0, 3))
+
+
 class TestCellIntegralKernel:
-    """The explicit-stack kernel against the recursive walk it replaced, bit for bit."""
+    """The nested-cube walk against the recursive cell tree, bit for bit."""
 
     @pytest.mark.parametrize(
         "weights, expected",
@@ -418,6 +457,79 @@ class TestCellIntegralKernel:
             for i in sorted(f.entries, key=order_key_oracle)
         ]
         assert norms._square_items(f, resolution) == expected
+
+    @given(_raw_layers())
+    # Two unit cubes listed before the box [1, 5): the tree adds the box at
+    # [2, 4), its maximal dyadic sub-cube, before it reaches them.
+    @example(([[((2,), 0, 2.0**-53), ((2,), 0, 2.0**-53), ((1,), 2, 1.0)]], 1, 0))
+    # The same before [-1, 1), which is the root cell: the tree adds it first.
+    @example(([[((0,), 0, 2.0**-53), ((0,), 0, 2.0**-53), ((-1,), 1, 1.0)]], 1, 0))
+    def test_raw_boxes_match_the_recursive_oracle(self, drawn):
+        layers, dim, resolution = drawn
+
+        def evaluate(acc):
+            # Each layer's distance from 1.0 keeps the last bits of its sum;
+            # the product mixes the layers.
+            return tuple(a - 1.0 for a in acc) + (math.prod(acc),)
+
+        args = (layers, dim, resolution, evaluate, len(layers) + 1)
+        assert _bits(norms._cell_integral(*args)) == _bits(recursive_cell_integral(*args))
+
+    def test_a_cube_tiled_by_its_children_is_never_evaluated(self):
+        # [0, 2)**2 carries 1.0 and each of its four unit children 2.0, so no
+        # point of the plane has the value 1.0 alone.
+        children = [((x, y), 0, 2.0) for x in (0, 1) for y in (0, 1)]
+        layers = [[((0, 0), 1, 1.0)] + children]
+
+        def evaluate(acc):
+            if acc[0] == 1.0:
+                raise AssertionError("evaluated a cube its children tile")
+            return (acc[0],)
+
+        args = (layers, 2, 0, evaluate, 1)
+        assert _bits(norms._cell_integral(*args)) == _bits([12.0])
+        assert _bits(recursive_cell_integral(*args)) == _bits([12.0])
+
+    def test_one_entry_in_dimension_64(self):
+        # A cell tree would split 2**64 cells around this cube.
+        f = fld(4.0, (lattice_index(1, 1, *[0] * 64), -0.5), dim=64)
+        assert lp_norm(f) == 0.5
+
+
+class TestUnderflow:
+    @pytest.mark.parametrize(
+        "norm, name, entry",
+        [
+            (lp_norm, "Lebesgue norm", (-3000, 1.0)),
+            (lp_norm, "Lebesgue norm", (0, 1e-170)),
+            (lp_norm, "Lebesgue norm", (0, 1e-100)),
+            (lambda f: cross_square_pair(f, f), "cross-square integral", (-3000, 1.0)),
+            (coeff_lp, "amplitude l^p norm", (0, 1e-170)),
+            (lambda f: besov_norm(f, BesovParams(0.0, 4.0, 4.0)), "Besov norm", (0, 1e-170)),
+            (lambda f: besov_norm(f, BesovParams(1.0, 4.0, 4.0)), "Besov norm", (-1100, 1.0)),
+        ],
+        ids=["lp-weight", "lp-amplitude", "lp-power", "cross", "coeff-lp", "besov", "besov-weight"],
+    )
+    def test_is_a_value_error_naming_the_norm(self, norm, name, entry):
+        # Every true value but 2**-1100 is a normal float: each 0.0 these
+        # norms gave was silently wrong.
+        scale_j, amp = entry
+        f = fld(4.0, (lattice_index(1, scale_j, 0), amp))
+        with pytest.raises(ValueError) as caught:
+            norm(f)
+        assert str(caught.value) == f"{name} underflows the float range"
+
+    def test_a_negligible_lost_piece_keeps_the_rounded_total(self):
+        # The walk emits -2**-1200 for the small cube inside the big one,
+        # which rounds to zero; the total 2.0 cannot move by 2**-1074.
+        f = fld(4.0, (lattice_index(1, 600, 0), 1.0), (lattice_index(1, -600, 0), 1.0))
+        assert lp_norm(f) == 2.0**0.25
+
+    def test_a_fine_cube_keeps_its_norm_where_its_volume_underflows(self):
+        # vol = 2**-1100 is below the float range, but S**2 * vol = 1e-40 is
+        # not; a cell tree multiplied by a zero volume and gave 0.0.
+        f = fld(4.0, (lattice_index(1, 1100, 0), 1e-10))
+        assert lp_norm(f) == pytest.approx(1e-10, rel=1e-12)
 
 
 class TestOverflow:
