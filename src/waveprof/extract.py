@@ -386,7 +386,7 @@ def remainder(dec: Decomposition, level: int, n: int) -> CoeffField:
 def cross_interaction(dec: Decomposition, first: int, second: int, n: int) -> float:
     """Square-function interaction of two transformed profiles at index ``n``.
 
-    Integrates S_first * S_second**(p/2 - 1) on the shared exact cell
+    Integrates S_first * S_second**(p/2 - 1) exactly over the shared cube
     arrangement.  Zero whenever the supports are disjoint; returns 0.0 at
     p == 2 by convention, where the cross terms are vacuous.
     """
@@ -467,7 +467,7 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
     p-th-power sums in Lebesgue mode, an l^tau norm with tau = max(a, q) in
     Besov mode.  Margins report by how much remainder input-space norms exceed
     the input norms on the tail.  Cross tables hold :func:`cross_interaction`
-    for every ordered pair of distinct groups, computed with one cell pass per
+    for every ordered pair of distinct groups, computed with one integral per
     unordered pair whose bounding boxes overlap.
     """
     ns = list(dec.retained)
@@ -499,7 +499,7 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
 
     # Each profile is transformed once per index; the placed profiles feed
     # both the remainders and the cross table, which takes both orders of a
-    # pair from one cell pass.
+    # pair from one integral.
     groups = len(dec.groups)
     levels = range(groups + 1)
     rem_norms: list[list[float]] = [[] for _ in levels]

@@ -10,8 +10,9 @@ finest resolution, and any two dyadic cubes are nested or disjoint, so the
 integrand is constant on each cube minus its largest sub-cubes and no cell is
 ever subdivided.  Cost is the number of distinct cubes times the number of
 distinct scales, with no factor 2**d; a cube whose shift has denominator
-2**k splits first into up to about 2**(d*k) dyadic cubes.  The only rounding
-is in floating-point powers and sums.
+2**k splits first into the largest dyadic cubes inside it, which line its
+boundary: about 2d * 2**((d-1)*k) of them.  The only rounding is in
+floating-point powers and sums.
 
 Besov-type norms are weighted l^a-in-(generator, shift), l^b-in-scale norms of
 the amplitudes and involve no geometry at all.
@@ -23,6 +24,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .field import CoeffField, order_key
@@ -146,7 +148,7 @@ def besov_norm(field: CoeffField, params: BesovParams) -> float:
 # An item is an axis-aligned box with integer coordinates at a common
 # resolution: (lo, side_exp, weight) describing [lo_c, lo_c + 2**side_exp) per
 # axis.  Boxes of weight w contribute w to the accumulated layer value on the
-# cells they cover.
+# points they cover.
 _Item = tuple[tuple[int, ...], int, float]
 
 
@@ -218,14 +220,19 @@ def _cell_integral(
     coarser = {side_exp: sides[i + 1:] for i, side_exp in enumerate(sides)}
     acc_of = {None: root}
     sub_sides: dict = {}
-    for cube in sorted(weights, key=lambda cube: -cube[0]):
+    # The smallest cube holding each dyadic cell looked up so far (a cube
+    # holds itself), so that siblings share their ancestors' lookups.
+    holder = dict(zip(weights, weights))
+    for cube in sorted(weights, key=itemgetter(0), reverse=True):
         side_exp, lo = cube
-        parent = None
+        parent, path = None, []
         for e in coarser[side_exp]:
             key = (e, tuple(c & -(1 << e) for c in lo))
-            if key in weights:
-                parent = key
+            if key in holder:
+                parent = holder[key]
                 break
+            path.append(key)
+        holder.update(dict.fromkeys(path, parent))
         acc = acc_of[parent].copy()
         for layer_id, weight in weights[cube]:
             acc[layer_id] += weight
@@ -235,8 +242,8 @@ def _cell_integral(
     pieces: list[list[float]] = [[] for _ in range(outputs)]
     for cube, acc in acc_of.items():
         side_exp = root_exp if cube is None else cube[0]
-        subs = sub_sides.get(cube, [])
-        if not any(acc) or sum(1 << (e * dim) for e in subs) == 1 << (side_exp * dim):
+        subs = sub_sides.get(cube, ())
+        if not any(acc) or subs and sum(1 << (e * dim) for e in subs) == 1 << (side_exp * dim):
             continue
         for out, value in zip(pieces, evaluate(acc)):
             if value != 0.0:
@@ -275,23 +282,25 @@ def _dyadic_cubes(lo: tuple[int, ...], side_exp: int) -> list[tuple[int, tuple[i
 
     Such a cube lies in the box and its parent does not.  They have sides
     from half the box's down to the largest power of two dividing every
-    corner coordinate, which tiles the box: up to 2**(d*k) cubes, k the bits
-    between.  Those of one side are read off the grid of that side in the box.
+    corner coordinate, at which dyadic cubes tile the box; at each side they
+    line the box's boundary, as the cells a tree splits there do.
     """
-    hi = [c + (1 << side_exp) for c in lo]
     finest = min((c & -c).bit_length() - 1 for c in lo if c)
     cubes = []
     for e in range(side_exp - 1, finest - 1, -1):
-        step, parent_mask = 1 << e, -(2 << e)
-        # Grid corners, each with whether its parent lies in the box too.
-        grid: list[tuple[tuple[int, ...], bool]] = [((), True)]
-        for a, b in zip(lo, hi):
-            axis = [
-                (x, a <= x & parent_mask and (x & parent_mask) + 2 * step <= b)
-                for x in range(-(-a >> e) << e, b - step + 1, step)
-            ]
-            grid = [(corner + (x,), nested and inside) for corner, nested in grid for x, inside in axis]
-        cubes.extend((e, corner) for corner, nested in grid if not nested)
+        # Per axis, the corners of the side-2**e intervals in the box, and
+        # those whose parent interval lies in the box too.
+        inside, nested = [], []
+        for a in lo:
+            b = a + (1 << side_exp)
+            inside.append(range(-(-a >> e) << e, b >> e << e, 1 << e))
+            nested.append(range(-(-a >> (e + 1)) << (e + 1), b >> (e + 1) << (e + 1), 1 << e))
+        # A cube is maximal when some axis leaves ``nested``: split by the first.
+        for i, axis in enumerate(inside):
+            corners: list[tuple[int, ...]] = [()]
+            for span in nested[:i] + [[x for x in axis if x not in nested[i]]] + inside[i + 1:]:
+                corners = [corner + (x,) for corner in corners for x in span]
+            cubes.extend((e, corner) for corner in corners)
     return cubes
 
 
@@ -325,14 +334,14 @@ def lp_norm(field: CoeffField) -> float:
 
 @_finite("cross-square integral")
 def cross_square_pair(f: CoeffField, g: CoeffField) -> tuple[float, float]:
-    """Both cross-square integrals of a pair, from one pass over their cells.
+    """Both cross-square integrals of a pair, from one walk over their cubes.
 
     Returns (integral of S_f * S_g**(p/2 - 1), integral of S_g * S_f**(p/2 - 1)),
     each bit-identical to a pass over that order alone.  Requires p > 2; the
     p == 2 case is trivial and rejected here so callers state their convention
     explicitly.  When the bounding boxes of the two supports are disjoint on
-    some axis no cell carries both, so both integrals are 0.0 and no cell tree
-    is built.
+    some axis no point carries both, so both integrals are 0.0 and no walk
+    runs.
     """
     if f.dim != g.dim or f.p != g.p:
         raise ValueError("fields must share dimension and reference exponent")

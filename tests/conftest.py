@@ -173,7 +173,7 @@ def _square_function_grids(fields) -> tuple[list[np.ndarray], float]:
 def grid_lp_oracle(field: CoeffField) -> float:
     """Brute-force Riemann sum of the square function on the finest dyadic grid.
 
-    Independent of the library's cell-tree path: renders every cube onto a
+    Independent of the library's integral: renders every cube onto a
     dense numpy grid at the finest resolution present and sums cell values.
     """
     if not field.entries:
@@ -187,7 +187,7 @@ def grid_cross_oracle(f: CoeffField, g: CoeffField) -> tuple[float, float]:
     """Brute-force (integral of S_f * S_g**(p/2 - 1), integral of S_g * S_f**(p/2 - 1)).
 
     Both square functions are rendered on one dense grid at the finest
-    resolution of the pair, independently of the library's cell tree.
+    resolution of the pair, independently of the library's integral.
     """
     (sf, sg), cell_volume = _square_function_grids([f, g])
     exponent = f.p / 2.0 - 1.0
@@ -198,11 +198,12 @@ def grid_cross_oracle(f: CoeffField, g: CoeffField) -> tuple[float, float]:
 
 
 def recursive_cell_integral(layers, dim, resolution, evaluate, outputs) -> tuple[float, ...]:
-    """Reference for ``norms._cell_integral``: the same cell tree, walked recursively.
+    """Reference for ``norms._cell_integral``: the cell tree it reproduces, walked recursively.
 
     Every cell copies its accumulator and adds, in list order, the weights of
     the boxes that cover it; cells meeting a box boundary are split in two
-    along every axis.  The library kernel must give these results bit for bit.
+    along every axis.  The library's walk over dyadic cubes must give these
+    results bit for bit.
     Depth is limited by Python's recursion limit.
     """
     tagged = [
