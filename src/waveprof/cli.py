@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from . import io_json
 from .extract import extract_profiles, verify
@@ -43,12 +44,20 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _load_field(path: Path) -> CoeffField:
-    obj = _load_json(path)
+@contextmanager
+def _naming(path: Path):
+    """Prefix a ValueError raised inside with ``path``, the file whose contents it rejects."""
     try:
-        return field_from_obj(obj)
+        yield
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _load(path: Path, from_obj: Callable[[Any], Any]) -> Any:
+    """``from_obj`` of the JSON in ``path``; what it rejects names the file."""
+    obj = _load_json(path)
+    with _naming(path):
+        return from_obj(obj)
 
 
 def _load_corpus(directory: Path) -> list[CoeffField]:
@@ -57,11 +66,11 @@ def _load_corpus(directory: Path) -> list[CoeffField]:
     paths = sorted(directory.glob("field_*.json"))
     if not paths:
         raise ValueError(f"no field_*.json files in {directory}")
-    return [_load_field(p) for p in paths]
+    return [_load(p, field_from_obj) for p in paths]
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    spec = io_json.synthetic_spec_from_obj(_load_json(Path(args.spec)))
+    spec = _load(Path(args.spec), io_json.synthetic_spec_from_obj)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     fields, truth = generate(spec)
@@ -78,7 +87,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    config = config_from_obj(_load_json(Path(args.config)))
+    config = _load(Path(args.config), config_from_obj)
     fields = _load_corpus(Path(args.in_dir))
     dec = extract_profiles(fields, config)
     report = verify(dec, config)
@@ -89,9 +98,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    stored = _load_json(Path(args.report))
+    report_path = Path(args.report)
+    stored = _load_json(report_path)
     fields = _load_corpus(Path(args.in_dir))
-    config, dec = io_json.report_from_obj(stored, dict(enumerate(fields, start=1)))
+    with _naming(report_path):
+        config, dec = io_json.report_from_obj(stored, dict(enumerate(fields, start=1)))
     report = verify(dec, config)
     text = dumps_canonical(io_json.report_to_obj(config, dec, report))
     if args.out:
@@ -111,7 +122,7 @@ def _parse_besov_triple(token: str) -> BesovParams:
 
 
 def _cmd_norms(args: argparse.Namespace) -> int:
-    field = _load_field(Path(args.field))
+    field = _load(Path(args.field), field_from_obj)
     besov_list = [_parse_besov_triple(token) for token in args.besov or []]
     # Basis regularity has no coefficient-space counterpart, so admissibility
     # of a requested triple is unknown and every triple is reported.

@@ -31,6 +31,7 @@ from .field import CoeffField, order_key
 
 _REL_SLACK = 1e-12
 _TINY = sys.float_info.min
+_LEAST = math.ldexp(1.0, -1074)
 
 
 @dataclass(frozen=True)
@@ -240,32 +241,42 @@ def _cell_integral(
         sub_sides.setdefault(parent, []).append(side_exp)
 
     pieces: list[list[float]] = [[] for _ in range(outputs)]
+    slack = [0.0] * outputs
     for cube, acc in acc_of.items():
         side_exp = root_exp if cube is None else cube[0]
         subs = sub_sides.get(cube, ())
         if not any(acc) or subs and sum(1 << (e * dim) for e in subs) == 1 << (side_exp * dim):
             continue
-        for out, value in zip(pieces, evaluate(acc)):
+        for i, value in enumerate(evaluate(acc)):
             if value != 0.0:
-                out.append(math.ldexp(value, (side_exp - resolution) * dim))
-                out.extend(-math.ldexp(value, (e - resolution) * dim) for e in subs)
-    return tuple(map(_rounded_sum, pieces))
+                pieces[i].append(math.ldexp(value, (side_exp - resolution) * dim))
+                pieces[i].extend(-math.ldexp(value, (e - resolution) * dim) for e in subs)
+                if abs(value) < _TINY:
+                    # A value below the normal range was rounded to a multiple
+                    # of 2**-1074; twice that per unit volume of each product
+                    # bounds its error and the rounding of this sum.
+                    slack[i] += math.fsum(
+                        math.ldexp(1.0, (e - resolution) * dim - 1073) for e in (side_exp, *subs)
+                    )
+    return tuple(map(_rounded_sum, pieces, slack))
 
 
-def _rounded_sum(products: list[float]) -> float:
+def _rounded_sum(products: list[float], slack: float) -> float:
     """``math.fsum`` of products meant to be exact; raises where they were not.
 
-    A product that rounded into the subnormal range, or up to its edge, is off
-    by at most 2**-1075: the sum stands when that much per such product cannot
-    move its rounding.  An infinite product overflowed.
+    ``slack`` bounds the error the integrand's values brought in by rounding
+    below the normal range.  A product that rounded into the subnormal range,
+    or up to its edge, is off by at most 2**-1075 and adds 2**-1074 to it.  The
+    sum stands when the slack cannot move its rounding.  An infinite product
+    overflowed.
     """
     if not all(map(math.isfinite, products)):
         raise OverflowError
     total = math.fsum(products)
     if products and min(map(abs, products)) <= _TINY:
-        slack = math.ldexp(sum(abs(x) <= _TINY for x in products), -1074)
-        if math.fsum(products + [slack]) != total or math.fsum(products + [-slack]) != total:
-            raise _Underflow
+        slack += math.ldexp(sum(abs(x) <= _TINY for x in products), -1074)
+    if slack and (math.fsum(products + [slack]) != total or math.fsum(products + [-slack]) != total):
+        raise _Underflow
     return total
 
 
@@ -325,8 +336,10 @@ def lp_norm(field: CoeffField) -> float:
     half_p = field.p / 2.0
     resolution = _finest_resolution([field])
     items = _square_items(field, resolution)
+    # A power that underflowed to zero stands for a value in (0, 2**-1075]:
+    # the least subnormal marks it, so that the walk counts its slack.
     (total,) = _cell_integral(
-        [items], field.dim, resolution, lambda acc: (acc[0] ** half_p,), 1
+        [items], field.dim, resolution, lambda acc: (acc[0] ** half_p or _LEAST,), 1
     )
     # Every cube carries a positive weight, so a zero mass underflowed.
     return _normal(total) ** (1.0 / field.p)
@@ -361,7 +374,8 @@ def cross_square_pair(f: CoeffField, g: CoeffField) -> tuple[float, float]:
         sf, sg = acc
         if sf == 0.0 or sg == 0.0:
             return (0.0, 0.0)
-        return (sf * sg**exponent, sg * sf**exponent)
+        # As in lp_norm, a value that underflowed to zero counts as the least subnormal.
+        return (sf * sg**exponent or _LEAST, sg * sf**exponent or _LEAST)
 
     return _cell_integral([f_items, g_items], f.dim, resolution, evaluate, 2)
 

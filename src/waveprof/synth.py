@@ -15,6 +15,7 @@ reproducible from the seed alone, independent of the host platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -136,8 +137,10 @@ def _check_spec(spec: SyntheticSpec) -> None:
         raise ValueError("n_count must be at least 1")
     if not spec.profiles:
         raise ValueError("at least one profile is required")
-    if spec.noise_count < 0 or spec.noise_amp < 0.0:
-        raise ValueError("noise parameters must be nonnegative")
+    if not 0.0 <= spec.noise_amp < math.inf:
+        raise ValueError(f"noise amplitude must be finite and nonnegative, got {spec.noise_amp}")
+    if spec.noise_count < 0:
+        raise ValueError("noise count must be nonnegative")
     if (spec.noise_amp > 0.0) != (spec.noise_count > 0):
         raise ValueError("noise amplitude and count must be set together")
     for planted in spec.profiles:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
 
@@ -249,3 +251,38 @@ def recursive_cell_integral(layers, dim, resolution, evaluate, outputs) -> tuple
 
     recurse(root_lo, root_exp, tagged, [0.0] * len(layers))
     return tuple(math.fsum(out) for out in pieces)
+
+
+def emit_oracle(obj) -> str:
+    """Reference for ``io_json.dumps_canonical`` without its trailing newline.
+
+    The recursive emitter it replaced: one ``isinstance`` chain per value,
+    one ``json.dumps`` call per string and per object key, and object keys
+    sorted with their values.
+    """
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if math.isnan(obj):
+            raise ValueError("NaN is not serializable")
+        if math.isinf(obj):
+            return '"inf"' if obj > 0 else '"-inf"'
+        token = format(obj, ".17g")
+        if "e" not in token and "E" not in token and "." not in token:
+            token += ".0"
+        return token
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(emit_oracle(v) for v in obj) + "]"
+    if isinstance(obj, Mapping):
+        parts = (
+            json.dumps(str(k), ensure_ascii=False) + ":" + emit_oracle(v)
+            for k, v in sorted(obj.items())
+        )
+        return "{" + ",".join(parts) + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -174,6 +174,12 @@ class TestGenerate:
         assert "noise" in done.stderr and "scale 71" in done.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_spec_error_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "no_p.json"
+        path.write_text(json.dumps({k: v for k, v in SPEC_OBJ.items() if k != "p"}))
+        assert main(["generate", str(path), str(tmp_path / "out")]) == 2
+        assert f"error: {path}: spec lacks the required key 'p'" in capsys.readouterr().err
+
     def test_seed_override_changes_noise(self, corpus, tmp_path):
         spec_path, corpus_dir, _ = corpus[0] / "spec.json", corpus[1], corpus[2]
         other = corpus[0] / "other"
@@ -235,6 +241,14 @@ class TestDecompose:
         assert "field_0007.json" in err
         assert "field lacks the required key 'dimension'" in err
 
+    def test_config_error_names_the_file(self, corpus, capsys):
+        tmp, corpus_dir, _ = corpus
+        path = tmp / "no_tail.json"
+        path.write_text(json.dumps({k: v for k, v in CONFIG_OBJ.items() if k != "tail_window"}))
+        capsys.readouterr()
+        assert main(["decompose", str(corpus_dir), "--config", str(path), "--out", str(tmp / "r.json")]) == 2
+        assert f"error: {path}: config lacks the required key 'tail_window'" in capsys.readouterr().err
+
     def test_byte_determinism(self, corpus):
         tmp, corpus_dir, config_path = corpus
         first, second = tmp / "r1.json", tmp / "r2.json"
@@ -279,6 +293,17 @@ class TestVerify:
         bogus.write_text("{}")
         assert main(["verify", str(bogus), str(corpus_dir)]) == 2
 
+    def test_report_error_names_the_file(self, corpus, capsys):
+        tmp, corpus_dir, config_path = corpus
+        report = tmp / "report.json"
+        assert main(["decompose", str(corpus_dir), "--config", str(config_path), "--out", str(report)]) == 0
+        stored = json.loads(report.read_text())
+        del stored["config"]
+        report.write_text(json.dumps(stored))
+        capsys.readouterr()
+        assert main(["verify", str(report), str(corpus_dir)]) == 2
+        assert f"error: {report}: report lacks the required key 'config'" in capsys.readouterr().err
+
     def test_non_list_group_profile_exits_2(self, corpus, capsys):
         tmp, corpus_dir, config_path = corpus
         report = tmp / "report.json"
@@ -298,6 +323,16 @@ def _spec_profile(spec):
 def _spec_entry(spec):
     spec["profiles"][0]["entries"] = [7]
     return spec, "entry must be an object"
+
+
+def _spec_noise_amp_inf(spec):
+    spec["noise"]["amp"] = "inf"
+    return spec, "noise amplitude must be finite and nonnegative, got inf"
+
+
+def _spec_noise_amp_nan(spec):
+    spec["noise"]["amp"] = "nan"
+    return spec, "noise amplitude must be finite and nonnegative, got nan"
 
 
 def _report_member(report):
@@ -376,6 +411,8 @@ def _entry_amplitude_beyond_floats(field):
     [
         ("generate", _spec_profile),
         ("generate", _spec_entry),
+        ("generate", _spec_noise_amp_inf),
+        ("generate", _spec_noise_amp_nan),
         ("verify", _report_member),
         ("verify", _anchor_row),
         ("verify", _report_diagnostics),
@@ -391,10 +428,10 @@ def _entry_amplitude_beyond_floats(field):
         ("norms", _entry_amplitude_beyond_floats),
     ],
     ids=[
-        "spec-profile", "spec-entry", "report-member", "anchor-row", "report-diagnostics",
-        "retained-outside-corpus", "member-scale-string", "member-shift-length",
-        "member-off-profile", "field-key", "entry-key", "entry-shift-first", "field-list",
-        "field-p-list", "entry-amp-huge",
+        "spec-profile", "spec-entry", "noise-amp-inf", "noise-amp-nan", "report-member",
+        "anchor-row", "report-diagnostics", "retained-outside-corpus", "member-scale-string",
+        "member-shift-length", "member-off-profile", "field-key", "entry-key",
+        "entry-shift-first", "field-list", "field-p-list", "entry-amp-huge",
     ],
 )
 def test_malformed_json_shape_exits_2(corpus, capsys, command, corrupt):
@@ -490,11 +527,14 @@ class TestNorms:
         assert "Lebesgue norm overflows the float range" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "scale, amp", [(-3000, 1.0), (0, 1e-170)], ids=["scale-weight", "squared-amplitude"]
+        "scale, amp",
+        [(-3000, 1.0), (0, 1e-170), (-100, 3e-73), (-100, 1e-72)],
+        ids=["scale-weight", "squared-amplitude", "subnormal-power-3e-73", "subnormal-power-1e-72"],
     )
     def test_float_underflow_exits_2(self, tmp_path, capsys, scale, amp):
-        # The true Lebesgue norms are 1.0 and 1e-170, not the 0.0 an
-        # underflowed square function gives.
+        # The true Lebesgue norms are the amplitudes, not the 0.0 an
+        # underflowed square function gives nor the 2.99982e-73 and
+        # 9.9999965e-73 a subnormal S**2 on a cube of volume 2**100 gives.
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps({
             "dimension": 1, "p": 4.0,

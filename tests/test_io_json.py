@@ -1,13 +1,17 @@
-"""The JSON loaders fail only with ValueError, whatever one value is swapped for."""
+"""The canonical emitter matches its oracle; the loaders fail only with ValueError."""
 
 from __future__ import annotations
 
 import copy
 import json
+import math
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+
+from conftest import emit_oracle
 
 from waveprof.extract import extract_profiles
 from waveprof.io_json import (
@@ -105,3 +109,77 @@ def test_one_bad_value_raises_only_value_error(name, data):
         load(_mutated(doc, path, replacement))
     except ValueError:
         pass
+
+
+_FLOATS = st.floats(allow_nan=False) | st.sampled_from(
+    [-0.0, 0.0, 1e16, 1e17, 5e-324, -5e-324, math.inf, -math.inf, 2.0**53, 0.1]
+)
+# Few distinct keys, so that one document repeats them; "\x7f" and "\u2028"
+# are left unescaped, "\x00", "\n" and '"' are escaped.
+_STR_KEYS = st.sampled_from(["", "a", "amp", "é", "\x00", "\n", '"', "\x7f", "\u2028"]) | st.text()
+_LEAVES = st.integers() | st.booleans() | st.none() | _FLOATS | _STR_KEYS
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_STR_KEYS, children, max_size=4),
+        st.dictionaries(st.integers() | st.booleans(), children, max_size=4),
+        st.dictionaries(_STR_KEYS, children, max_size=4).map(MappingProxyType),
+    ),
+    max_leaves=24,
+)
+
+
+class _Label(str):
+    """A str key that prints as something else."""
+
+    def __str__(self) -> str:
+        return "label:" + self
+
+
+def _outcome(emit, obj):
+    """What ``emit`` makes of ``obj``: its text, or its exception's type and message."""
+    try:
+        return emit(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCanonicalEmitter:
+    @given(_VALUES)
+    def test_bytes_equal_the_oracle(self, obj):
+        assert dumps_canonical(obj) == emit_oracle(obj) + "\n"
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            # Equal keys that print apart, in one document: none may reuse
+            # another's key token.
+            [{1: 0}, {True: 0}, {1.0: 0}, {0.0: 0}, {-0.0: 0}, {"1": 0}],
+            [{"x": 1}, {_Label("x"): 2}, {"x": 3}],
+            # Subclasses and other mappings take the isinstance fallback.
+            [_Label("s"), MappingProxyType({"b": (1, 2.5), "a": [None, False]})],
+            {2: "two", 10: "ten", -1: "minus one"},
+        ],
+        ids=["equal-keys", "str-subclass-key", "subclasses", "int-keys-sort-as-ints"],
+    )
+    def test_examples_equal_the_oracle(self, obj):
+        assert dumps_canonical(obj) == emit_oracle(obj) + "\n"
+
+    @pytest.mark.parametrize(
+        "obj, error",
+        [
+            (math.nan, ValueError),
+            ({"a": [1.0, -math.nan]}, ValueError),
+            (object(), TypeError),
+            ({"a": (1, {2, 3})}, TypeError),
+            (b"bytes", TypeError),
+            ({1: 0, "a": 0}, TypeError),
+        ],
+        ids=["nan", "nested-nan", "object", "nested-set", "bytes", "mixed-key-types"],
+    )
+    def test_both_emitters_raise_alike(self, obj, error):
+        with pytest.raises(error):
+            dumps_canonical(obj)
+        assert _outcome(dumps_canonical, obj) == _outcome(emit_oracle, obj)

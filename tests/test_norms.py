@@ -506,14 +506,46 @@ class TestUnderflow:
             (coeff_lp, "amplitude l^p norm", (0, 1e-170)),
             (lambda f: besov_norm(f, BesovParams(0.0, 4.0, 4.0)), "Besov norm", (0, 1e-170)),
             (lambda f: besov_norm(f, BesovParams(1.0, 4.0, 4.0)), "Besov norm", (-1100, 1.0)),
+            (lp_norm, "Lebesgue norm", (-100, 3e-73)),
+            (lp_norm, "Lebesgue norm", (-100, 1e-72)),
+            (lambda f: cross_square_pair(f, f), "cross-square integral", (-100, 3e-73)),
         ],
-        ids=["lp-weight", "lp-mass", "cross", "coeff-lp", "besov", "besov-weight"],
+        ids=[
+            "lp-weight", "lp-mass", "cross", "coeff-lp", "besov", "besov-weight",
+            "lp-subnormal-power", "lp-subnormal-power-1e-72", "cross-subnormal-value",
+        ],
     )
     def test_is_a_value_error_naming_the_norm(self, norm, name, entry):
         # Every true value but 2**-1100 is a normal float: each 0.0 these
-        # norms gave was silently wrong.
+        # norms gave was silently wrong.  At scale -100 the integrand S**2 is
+        # subnormal on a cube of volume 2**100, so the norms lost bits
+        # (2.99982e-73 for 3e-73) instead of reaching 0.0.
         scale_j, amp = entry
         f = fld(4.0, (lattice_index(1, scale_j, 0), amp))
+        with pytest.raises(ValueError) as caught:
+            norm(f)
+        assert str(caught.value) == f"{name} underflows the float range"
+
+    @pytest.mark.parametrize(
+        "norm", [lp_norm, lambda f: cross_square_pair(f, f)[0]], ids=["lp", "cross"]
+    )
+    def test_a_negligible_subnormal_value_keeps_the_norm(self, norm):
+        # The tiny entry's integrand is subnormal on [2**100, 2**101), but its
+        # error cannot move the unit entry's integral of 1.0.
+        unit = (lattice_index(1, 0, 0), 1.0)
+        assert norm(fld(4.0, unit, (lattice_index(1, -100, 1), 3e-73))) == norm(fld(4.0, unit))
+
+    @pytest.mark.parametrize(
+        "norm, name",
+        [(lp_norm, "Lebesgue norm"), (lambda f: cross_square_pair(f, f), "cross-square integral")],
+        ids=["lp", "cross"],
+    )
+    def test_an_integrand_that_underflows_to_zero_is_counted(self, norm, name):
+        # Both entries add 2**-480 to the integral, but on the cube of volume
+        # 2**1100 the integrand S**2 = 2**-1580 is 0.0 as a float: the norm
+        # gave 2**-120 instead of 2**-119.75.
+        amp = math.ldexp(1.0, -120)
+        f = fld(4.0, (lattice_index(1, -1100, 1), amp), (lattice_index(1, 0, 0), amp))
         with pytest.raises(ValueError) as caught:
             norm(f)
         assert str(caught.value) == f"{name} underflows the float range"
