@@ -3,17 +3,16 @@
 Output is byte-deterministic: keys are emitted sorted, containers compactly,
 and every real number as a decimal with 17 significant digits, which
 round-trips IEEE doubles exactly.  Infinite exponents are carried as the
-strings "inf" / "-inf" since JSON numbers cannot express them.  One call of
-:func:`dumps_canonical` joins each container once and encodes each distinct
-object key once.
+strings "inf" / "-inf" since JSON numbers cannot express them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Mapping
 from json.encoder import encode_basestring as _encode_str
-from typing import Any, Mapping
+from typing import Any
 
 from .dyadic import DyadicRationalVec, WaveletIndex
 from .extract import (
@@ -40,53 +39,32 @@ def _float_token(value: float) -> str:
     return token
 
 
-def _emit(obj: Any, keys: dict[str, str]) -> str:
-    """``obj`` as canonical JSON; ``keys`` caches the ``"key":`` token of each str key.
+def _emit(obj: Any) -> str:
+    """``obj`` as canonical JSON, joining each container once.
 
-    The exact builtin types are dispatched first; ``bool``, ``None``,
-    subclasses and other mappings fall through to ``isinstance`` tests in the
-    order None, bool, int, float, str, list or tuple, mapping.  Strings are
-    written by the encoder ``json.dumps(s, ensure_ascii=False)`` applies.
+    Strings are written by the encoder ``json.dumps(s, ensure_ascii=False)``
+    applies.
     """
-    kind = type(obj)
-    if kind is float:
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, float):
         return _float_token(obj)
-    if kind is int:
+    if isinstance(obj, int):
         return str(obj)
-    if kind is list or kind is tuple:
-        return "[" + ",".join([_emit(v, keys) for v in obj]) + "]"
-    if kind is not dict:
-        if kind is str:
-            return _encode_str(obj)
-        if obj is None:
-            return "null"
-        if isinstance(obj, bool):
-            return "true" if obj else "false"
-        if isinstance(obj, int):
-            return str(obj)
-        if isinstance(obj, float):
-            return _float_token(obj)
-        if isinstance(obj, str):
-            return _encode_str(obj)
-        if isinstance(obj, (list, tuple)):
-            return "[" + ",".join([_emit(v, keys) for v in obj]) + "]"
-        if not isinstance(obj, Mapping):
-            raise TypeError(f"cannot serialize {type(obj).__name__}")
-    parts = []
-    for key, value in sorted(obj.items()):
-        if type(key) is str:
-            token = keys.get(key)
-            if token is None:
-                token = keys[key] = _encode_str(key) + ":"
-        else:
-            # Not cached: keys such as 1, True and 1.0 are equal but print apart.
-            token = _encode_str(str(key)) + ":"
-        parts.append(token + _emit(value, keys))
-    return "{" + ",".join(parts) + "}"
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join([_emit(v) for v in obj]) + "]"
+    if isinstance(obj, Mapping):
+        items = sorted(obj.items())
+        return "{" + ",".join([_encode_str(str(k)) + ":" + _emit(v) for k, v in items]) + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps_canonical(obj: Any) -> str:
-    return _emit(obj, {}) + "\n"
+    return _emit(obj) + "\n"
 
 
 def _as_float(value: Any, what: str = "value") -> float:

@@ -249,15 +249,19 @@ def _cell_integral(
             continue
         for i, value in enumerate(evaluate(acc)):
             if value != 0.0:
-                pieces[i].append(math.ldexp(value, (side_exp - resolution) * dim))
-                pieces[i].extend(-math.ldexp(value, (e - resolution) * dim) for e in subs)
                 if abs(value) < _TINY:
                     # A value below the normal range was rounded to a multiple
                     # of 2**-1074; twice that per unit volume of each product
-                    # bounds its error and the rounding of this sum.
+                    # bounds its error and the rounding of this sum.  From a
+                    # volume of 2**2045 on, that bound is at least 2**972,
+                    # twice an ulp of the largest floats: no total stands.
+                    if (side_exp - resolution) * dim >= 2045:
+                        raise _Underflow
                     slack[i] += math.fsum(
                         math.ldexp(1.0, (e - resolution) * dim - 1073) for e in (side_exp, *subs)
                     )
+                pieces[i].append(math.ldexp(value, (side_exp - resolution) * dim))
+                pieces[i].extend(-math.ldexp(value, (e - resolution) * dim) for e in subs)
     return tuple(map(_rounded_sum, pieces, slack))
 
 

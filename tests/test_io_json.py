@@ -114,8 +114,7 @@ def test_one_bad_value_raises_only_value_error(name, data):
 _FLOATS = st.floats(allow_nan=False) | st.sampled_from(
     [-0.0, 0.0, 1e16, 1e17, 5e-324, -5e-324, math.inf, -math.inf, 2.0**53, 0.1]
 )
-# Few distinct keys, so that one document repeats them; "\x7f" and "\u2028"
-# are left unescaped, "\x00", "\n" and '"' are escaped.
+# "\x7f" and "\u2028" are left unescaped, "\x00", "\n" and '"' are escaped.
 _STR_KEYS = st.sampled_from(["", "a", "amp", "é", "\x00", "\n", '"', "\x7f", "\u2028"]) | st.text()
 _LEAVES = st.integers() | st.booleans() | st.none() | _FLOATS | _STR_KEYS
 _VALUES = st.recursive(
@@ -154,11 +153,10 @@ class TestCanonicalEmitter:
     @pytest.mark.parametrize(
         "obj",
         [
-            # Equal keys that print apart, in one document: none may reuse
-            # another's key token.
+            # Equal keys that print apart, in one document.
             [{1: 0}, {True: 0}, {1.0: 0}, {0.0: 0}, {-0.0: 0}, {"1": 0}],
             [{"x": 1}, {_Label("x"): 2}, {"x": 3}],
-            # Subclasses and other mappings take the isinstance fallback.
+            # Subclasses and mappings other than dict.
             [_Label("s"), MappingProxyType({"b": (1, 2.5), "a": [None, False]})],
             {2: "two", 10: "ten", -1: "minus one"},
         ],

@@ -509,17 +509,24 @@ class TestUnderflow:
             (lp_norm, "Lebesgue norm", (-100, 3e-73)),
             (lp_norm, "Lebesgue norm", (-100, 1e-72)),
             (lambda f: cross_square_pair(f, f), "cross-square integral", (-100, 3e-73)),
+            (lp_norm, "Lebesgue norm", (-100, 2.0**-240)),
+            (lp_norm, "Lebesgue norm", (-2097, 2.0**100)),
+            (lambda f: cross_square_pair(f, f), "cross-square integral", (-2098, 2.0**100)),
         ],
         ids=[
             "lp-weight", "lp-mass", "cross", "coeff-lp", "besov", "besov-weight",
             "lp-subnormal-power", "lp-subnormal-power-1e-72", "cross-subnormal-value",
+            "lp-exact-subnormal-value", "lp-vast-cube", "cross-vast-cube",
         ],
     )
     def test_is_a_value_error_naming_the_norm(self, norm, name, entry):
         # Every true value but 2**-1100 is a normal float: each 0.0 these
         # norms gave was silently wrong.  At scale -100 the integrand S**2 is
         # subnormal on a cube of volume 2**100, so the norms lost bits
-        # (2.99982e-73 for 3e-73) instead of reaching 0.0.
+        # (2.99982e-73 for 3e-73) instead of reaching 0.0; for 2**-240 it is
+        # exact, but nothing tells it from an inexact one.  On the cubes of
+        # volume 2**2097 and 2**2098 the integrand rounds to 0.0, and its error
+        # bound alone exceeds the float range.
         scale_j, amp = entry
         f = fld(4.0, (lattice_index(1, scale_j, 0), amp))
         with pytest.raises(ValueError) as caught:
