@@ -35,7 +35,11 @@ def _load_json(path: Path) -> object:
             return json.load(fp)
     except FileNotFoundError:
         raise ValueError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}")
+    except (ValueError, RecursionError) as exc:
+        # Malformed JSON, bytes that are not UTF-8, an integer past Python's
+        # digit limit, or nesting deeper than the recursion limit.
         raise ValueError(f"invalid JSON in {path}: {exc}")
 
 

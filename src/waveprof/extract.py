@@ -237,6 +237,17 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
     diagnostics: list[str] = []
     window = config.tail_window
 
+    def narrow(keep: list[int], note: str) -> bool:
+        """Retain ``keep``, noting what it drops; True when fewer than a tail window remain."""
+        nonlocal retained
+        if len(keep) < len(retained):
+            diagnostics.append(f"iterate {next_rank}: {note.format(len(retained) - len(keep))}")
+            retained = keep
+            if len(keep) < window:
+                diagnostics.append(f"iterate {next_rank}: retained set shrank below the tail window")
+                return True
+        return False
+
     next_rank = 1
     while next_rank <= config.max_iterations:
         # Each completed iterate removed one entry from every retained residual.
@@ -247,35 +258,19 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
         )
         if tail_sup <= config.stop_epsilon:
             break
-        exhausted = [n for n in retained if depth >= len(ranked[n])]
-        if exhausted:
-            diagnostics.append(
-                f"iterate {next_rank}: dropped {len(exhausted)} exhausted residuals"
-            )
-            retained = [n for n in retained if depth < len(ranked[n])]
-            if len(retained) < window:
-                diagnostics.append(
-                    f"iterate {next_rank}: retained set shrank below the tail window"
-                )
+        live = [n for n in retained if depth < len(ranked[n])]
+        if live != retained:
+            if narrow(live, "dropped {} exhausted residuals"):
                 break
             continue
 
         tops = {n: ranked[n][depth] for n in retained}
         tail_gens = [tops[n][0].gen for n in tail]
         modal_gen = max(set(tail_gens), key=lambda g: (tail_gens.count(g), -g))
-        keep = [n for n in retained if tops[n][0].gen == modal_gen]
-        if keep != retained:
-            diagnostics.append(
-                f"iterate {next_rank}: generator restriction dropped "
-                f"{len(retained) - len(keep)} indices"
-            )
-            retained = keep
-            if len(retained) < window:
-                diagnostics.append(
-                    f"iterate {next_rank}: retained set shrank below the tail window"
-                )
-                break
-            tail = retained[-window:]
+        modal = [n for n in retained if tops[n][0].gen == modal_gen]
+        if narrow(modal, "generator restriction dropped {} indices"):
+            break
+        tail = retained[-window:]
 
         tail_amps = [tops[n][1] for n in tail]
         spread = max(tail_amps) - min(tail_amps)
@@ -288,7 +283,6 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
             n: (tops[n][0].scale, tops[n][0].shift.numerators) for n in retained
         }
 
-        attached = False
         ambiguous = False
         for group in groups:
             tail_rel = [relative_map(group.anchors[n], params[n]) for n in tail]
@@ -296,20 +290,16 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
             if all(r == constant for r in tail_rel) and magnitude(constant) <= config.bound_threshold:
                 # ``tail`` is the suffix of ``retained`` and all its maps equal
                 # ``constant``; the other maps are needed only now that the
-                # group attaches.
-                keep = [
-                    n for n in retained[:-window]
-                    if relative_map(group.anchors[n], params[n]) == constant
-                ] + tail
-                if keep != retained:
-                    diagnostics.append(
-                        f"iterate {next_rank}: relative-map constancy dropped "
-                        f"{len(retained) - len(keep)} indices"
-                    )
-                    retained = keep
+                # group attaches.  Keeping the tail keeps a full window.
+                narrow(
+                    [
+                        n for n in retained[:-window]
+                        if relative_map(group.anchors[n], params[n]) == constant
+                    ] + tail,
+                    "relative-map constancy dropped {} indices",
+                )
                 index = WaveletIndex._unchecked(modal_gen, constant.scale, constant.shift)
                 group.members.append(GroupMember(index, limit_amp, next_rank))
-                attached = True
                 break
             gaps = [magnitude(r) for r in tail_rel]
             separated = (
@@ -318,7 +308,7 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
             )
             if not separated:
                 ambiguous = True
-        if not attached:
+        else:
             origin = WaveletIndex._unchecked(modal_gen, 0, DyadicRationalVec.zero(dim))
             anchor = GroupMember(origin, limit_amp, next_rank)
             groups.append(_WorkingGroup(dict(params), anchor))

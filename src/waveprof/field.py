@@ -128,12 +128,6 @@ def combine(f: CoeffField, g: CoeffField, alpha: float = 1.0, beta: float = 1.0)
     return CoeffField._unchecked(f.dim, f.p, {k: v for k, v in out.items() if v != 0.0})
 
 
-def scale(field: CoeffField, factor: float) -> CoeffField:
-    if factor == 0.0:
-        return CoeffField.empty(field.dim, field.p)
-    return CoeffField(field.dim, field.p, {k: factor * v for k, v in field.entries.items()})
-
-
 def rank(field: CoeffField) -> tuple[tuple[WaveletIndex, float], ...]:
     """Entries by decreasing |amplitude|, ties by scale, shift, generator.
 

@@ -154,14 +154,19 @@ _Item = tuple[tuple[int, ...], int, float]
 
 
 def _square_items(field: CoeffField, resolution: int) -> list[_Item]:
-    """The boxes of ``field`` at ``resolution``, in ``order_key`` order of their indices."""
+    """The boxes of ``field`` at ``resolution``, in ``order_key`` order of their indices.
+
+    The scale factors are checked first, so that a scale out of range fails
+    before the corner of a far finer or coarser box is built.
+    """
     two_d_over_p = 2.0 * field.dim / field.p
+    factor = {j: _normal(2.0 ** (two_d_over_p * j)) for j in {i.scale for i in field.entries}}
     items = []
     for index in sorted(field.entries, key=order_key(field)):
         j, shift, amp = index.scale, index.shift, field.entries[index]
         stretch = resolution - j - shift.denom_exp
         lo = tuple(n << stretch for n in shift.numerators)
-        items.append((lo, resolution - j, _normal(amp * amp * 2.0 ** (two_d_over_p * j))))
+        items.append((lo, resolution - j, _normal(amp * amp * factor[j])))
     return items
 
 
@@ -378,8 +383,13 @@ def cross_square_pair(f: CoeffField, g: CoeffField) -> tuple[float, float]:
         sf, sg = acc
         if sf == 0.0 or sg == 0.0:
             return (0.0, 0.0)
-        # As in lp_norm, a value that underflowed to zero counts as the least subnormal.
-        return (sf * sg**exponent or _LEAST, sg * sf**exponent or _LEAST)
+        # A power factor below the normal range lost bits that the other
+        # square function could scale back up, so it raises.  As in lp_norm, a
+        # product that underflowed to zero counts as the least subnormal.
+        sf_power, sg_power = sf**exponent, sg**exponent
+        if sf_power < _TINY or sg_power < _TINY:
+            raise _Underflow
+        return (sf * sg_power or _LEAST, sg * sf_power or _LEAST)
 
     return _cell_integral([f_items, g_items], f.dim, resolution, evaluate, 2)
 

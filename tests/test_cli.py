@@ -457,6 +457,57 @@ def test_malformed_json_shape_exits_2(corpus, capsys, command, corrupt):
     assert message in capsys.readouterr().err
 
 
+def _make_unreadable(path: Path, kind: str) -> str:
+    """Replace ``path`` by an input of ``kind`` that no loader can read; return its message's start."""
+    path.unlink()
+    if kind == "directory":
+        path.mkdir()
+        return f"error: cannot read {path}: "
+    path.write_bytes({
+        "nested-too-deep": b"[" * 200000 + b"]" * 200000,
+        "not-utf8": b'{"p": "\xff"}',
+        "integer-too-long": b"1" * 5000,
+    }[kind])
+    return f"error: invalid JSON in {path}: "
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "directory",
+        "nested-too-deep",
+        "not-utf8",
+        pytest.param(
+            "integer-too-long",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+            ),
+        ),
+    ],
+)
+@pytest.mark.parametrize(
+    "role", ["spec", "config", "decompose-field", "report", "verify-field", "norms-field"]
+)
+def test_unreadable_input_file_exits_2_naming_it(corpus, capsys, role, kind):
+    tmp, corpus_dir, config_path = corpus
+    report = tmp / "report.json"
+    decompose = ["decompose", str(corpus_dir), "--config", str(config_path), "--out", str(report)]
+    assert main(decompose) == 0
+    field = corpus_dir / "field_0003.json"
+    path, argv = {
+        "spec": (tmp / "spec.json", ["generate", str(tmp / "spec.json"), str(tmp / "again")]),
+        "config": (config_path, decompose),
+        "decompose-field": (field, decompose),
+        "report": (report, ["verify", str(report), str(corpus_dir)]),
+        "verify-field": (field, ["verify", str(report), str(corpus_dir)]),
+        "norms-field": (field, ["norms", str(field)]),
+    }[role]
+    start = _make_unreadable(path, kind)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(start)
+
+
 class TestNorms:
     def test_values_and_schema(self, corpus, capsys):
         _, corpus_dir, _ = corpus

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from waveprof.dyadic import DyadicAffine, DyadicRationalVec, WaveletIndex, compose
-from waveprof.field import CoeffField, combine, order_key, rank, scale, split_top, transform
+from waveprof.field import CoeffField, combine, order_key, rank, split_top, transform
 from waveprof.norms import BesovParams, besov_norm, coeff_lp, sup_amplitude
 from conftest import lattice_index, order_key_oracle, random_affine, random_field
 
@@ -187,16 +187,6 @@ class TestProjectionDecay:
                 for count in range(1, len(f) + 1):
                     _, tail = split_top(f, count)
                     assert count ** (1.0 / b) * sup_amplitude(tail) <= bound + 1e-12
-
-
-class TestScale:
-    def test_zero_factor_empties(self):
-        f = fld(4.0, (lattice_index(1, 0, 0), 1.0))
-        assert len(scale(f, 0.0)) == 0
-
-    def test_scalar_multiple(self):
-        f = fld(4.0, (lattice_index(1, 0, 0), 1.5))
-        assert dict(scale(f, -2.0).entries) == {lattice_index(1, 0, 0): -3.0}
 
 
 class TestBuiltFromCheckedFields:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from waveprof.dyadic import DyadicRationalVec, WaveletIndex
-from waveprof.field import CoeffField, scale, transform
+from waveprof.field import CoeffField, transform
 from waveprof import norms
 from waveprof.norms import (
     BesovParams,
@@ -171,7 +172,7 @@ class TestHomogeneity:
             (lattice_index(1, 2, 3), -0.5),
             (lattice_index(1, -1, 1), 0.25),
         )
-        g = scale(f, factor)
+        g = CoeffField(f.dim, f.p, {k: factor * v for k, v in f.entries.items()})
         assert lp_norm(g) == pytest.approx(abs(factor) * lp_norm(f), rel=1e-12)
         assert sup_amplitude(g) == pytest.approx(abs(factor) * sup_amplitude(f), rel=1e-12)
         assert coeff_lp(g) == pytest.approx(abs(factor) * coeff_lp(f), rel=1e-12)
@@ -563,6 +564,25 @@ class TestUnderflow:
         f = fld(4.0, (lattice_index(1, 1100, 0), 1e-10))
         assert lp_norm(f) == pytest.approx(1e-10, rel=1e-12)
 
+    def test_a_subnormal_scale_factor_is_rejected(self):
+        # 2**(2/2.1 * -1100) is subnormal; times amp**2 = 2**200 it made a
+        # normal weight that had lost bits, and the norm came out as
+        # 1.267650602350004e30, a relative error of 1.7e-9.
+        f = fld(2.1, (lattice_index(1, -1100, 0), 2.0**100))
+        with pytest.raises(ValueError) as caught:
+            lp_norm(f)
+        assert str(caught.value) == "Lebesgue norm underflows the float range"
+
+    def test_a_subnormal_power_factor_is_rejected(self):
+        # At p = 6 the factor S_g**2 = 1e-320 is subnormal; times S_f = 1e14
+        # it gave 9.99988867182683e-307 instead of 1e-306.
+        big = fld(6.0, (lattice_index(1, 0, 0), 1e7))
+        tiny = fld(6.0, (lattice_index(1, 0, 0), 1e-80))
+        for pair in ((big, tiny), (tiny, big)):
+            with pytest.raises(ValueError) as caught:
+                cross_square_pair(*pair)
+            assert str(caught.value) == "cross-square integral underflows the float range"
+
 
 class TestOverflow:
     @pytest.mark.parametrize(
@@ -582,3 +602,17 @@ class TestOverflow:
             norm(f)
         assert str(caught.value) == f"{name} overflows the float range"
 
+    def test_a_scale_out_of_range_fails_before_its_corners_are_built(self):
+        # The entry at scale 0 sits at resolution 10**8, where its corner is
+        # a 10**8-bit integer: 12.7 MiB were allocated before the scale
+        # factor of the other entry overflowed.
+        f = fld(4.0, (lattice_index(1, 0, 1), 1.0), (lattice_index(1, 10**8, 0), 1.0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as caught:
+                lp_norm(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == "Lebesgue norm overflows the float range"
+        assert peak < 1 << 20
