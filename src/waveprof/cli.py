@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -75,13 +74,13 @@ def _load_corpus(directory: Path) -> list[CoeffField]:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     spec = _load(Path(args.spec), io_json.synthetic_spec_from_obj)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
     fields, truth = generate(spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # One width for every name, so that the sorted names are in sequence order.
+    width = max(4, len(str(len(fields))))
     for n, field in enumerate(fields, start=1):
-        _write_text(out_dir / f"field_{n:04d}.json", dumps_canonical(field_to_obj(field)))
+        _write_text(out_dir / f"field_{n:0{width}d}.json", dumps_canonical(field_to_obj(field)))
     _write_text(
         out_dir / "truth.json",
         dumps_canonical({"decomposition": decomposition_to_obj(truth)}),
@@ -156,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="generate a synthetic corpus from a spec")
     gen.add_argument("spec", help="synthetic spec JSON file")
     gen.add_argument("out", help="output directory")
-    gen.add_argument("--seed", type=int, default=None, help="override the spec seed")
     gen.set_defaults(handler=_cmd_generate)
 
     dec = sub.add_parser("decompose", help="extract profiles from a corpus directory")

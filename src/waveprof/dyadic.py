@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 
 def _normalize(numerators: tuple[int, ...], denom_exp: int) -> tuple[tuple[int, ...], int]:
@@ -70,10 +69,6 @@ class DyadicRationalVec:
     @classmethod
     def zero(cls, dim: int) -> DyadicRationalVec:
         return cls((0,) * dim, 0)
-
-    @classmethod
-    def from_ints(cls, components: Iterable[int]) -> DyadicRationalVec:
-        return cls(tuple(int(c) for c in components), 0)
 
     @property
     def dim(self) -> int:
@@ -167,10 +162,6 @@ class DyadicAffine:
     def identity(cls, dim: int) -> DyadicAffine:
         return cls(0, DyadicRationalVec.zero(dim))
 
-    @classmethod
-    def from_lattice(cls, scale: int, shift: Iterable[int]) -> DyadicAffine:
-        return cls(scale, DyadicRationalVec.from_ints(shift))
-
     @property
     def dim(self) -> int:
         return self.shift.dim
@@ -219,31 +210,30 @@ def act_on_index(tau: DyadicAffine, index: WaveletIndex) -> WaveletIndex:
     )
 
 
-LatticeParams = tuple[int, tuple[int, ...]]
-
-
-def orthogonality_gap(a: LatticeParams, b: LatticeParams) -> float:
-    """Separation of two (scale, shift) parameter pairs on the integer lattice.
+def orthogonality_gap(a: DyadicAffine, b: DyadicAffine) -> float:
+    """Separation of two lattice frames (integral shifts).
 
     It is the magnitude of the relative map carrying frame ``a`` onto frame
-    ``b``; two parameter sequences are asymptotically orthogonal iff this
+    ``b``; two frame sequences are asymptotically orthogonal iff this
     quantity diverges along them.
     """
     return magnitude(relative_map(a, b))
 
 
-def relative_map(anchor: LatticeParams, target: LatticeParams) -> DyadicAffine:
-    """The constant-candidate map compose(invert(anchor), target) in lattice frames.
+def relative_map(anchor: DyadicAffine, target: DyadicAffine) -> DyadicAffine:
+    """The map compose(invert(anchor), target) between two lattice frames.
 
     For anchor (j0, k0) and target (j, k) this is the map with scale j - j0 and
     shift k - 2**(j - j0) * k0; it is the map tau with
-    compose(affine(anchor), tau) == affine(target).
+    compose(anchor, tau) == target.  Both frames must have integral shifts,
+    which keeps the arithmetic on integers.
     """
-    j0, k0 = int(anchor[0]), anchor[1]
-    j1, k1 = int(target[0]), target[1]
+    if anchor.shift.denom_exp or target.shift.denom_exp:
+        raise ValueError("relative_map needs frames with integral shifts")
+    k0, k1 = anchor.shift.numerators, target.shift.numerators
     if len(k0) != len(k1):
         raise ValueError("dimension mismatch")
-    delta = j1 - j0
+    delta = target.scale - anchor.scale
     if delta >= 0:
         shift = DyadicRationalVec._unchecked(tuple(b - (a << delta) for a, b in zip(k0, k1)), 0)
     else:

@@ -23,7 +23,6 @@ from typing import Mapping, Sequence
 from .dyadic import (
     DyadicAffine,
     DyadicRationalVec,
-    LatticeParams,
     WaveletIndex,
     magnitude,
     orthogonality_gap,
@@ -124,18 +123,14 @@ class GroupMember:
 
 @dataclass(frozen=True)
 class ProfileGroup:
-    """A profile with its per-index anchor parameters and member components."""
+    """A profile with its per-index anchor frames and member components."""
 
-    anchor_params: Mapping[int, LatticeParams]
+    anchor_params: Mapping[int, DyadicAffine]
     members: tuple[GroupMember, ...]
     profile: CoeffField
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "anchor_params", MappingProxyType(dict(self.anchor_params)))
-
-    def anchor_affine(self, n: int) -> DyadicAffine:
-        j, k = self.anchor_params[n]
-        return DyadicAffine.from_lattice(j, k)
 
 
 @dataclass(frozen=True)
@@ -156,7 +151,7 @@ class Decomposition:
     Construction checks the structure, whoever builds the decomposition:
     inputs and profiles share ``dim`` and ``p``, ``retained`` lists input
     indices in strictly increasing order, and every group has an anchor at
-    every retained index.
+    every retained index, each with an integral shift.
     """
 
     dim: int
@@ -181,18 +176,12 @@ class Decomposition:
                 raise ValueError(f"group {position} profile does not match the decomposition")
             if any(n not in group.anchor_params for n in self.retained):
                 raise ValueError(f"group {position} lacks anchor rows for retained indices")
+            if any(a.shift.denom_exp for a in group.anchor_params.values()):
+                raise ValueError(f"group {position} has an anchor off the integer lattice")
 
     def require_retained(self, n: int) -> None:
         if n not in self.retained:
             raise ValueError(f"sequence index {n} is not retained")
-
-
-class _WorkingGroup:
-    __slots__ = ("anchors", "members")
-
-    def __init__(self, anchors: dict[int, LatticeParams], first: GroupMember) -> None:
-        self.anchors = anchors
-        self.members = [first]
 
 
 def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> Decomposition:
@@ -233,7 +222,7 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
     input_norm_max = max(input_norms.values())
     retained = sorted(inputs)
     ranked = {n: rank(f) for n, f in inputs.items()}
-    groups: list[_WorkingGroup] = []
+    groups: list[tuple[dict[int, DyadicAffine], list[GroupMember]]] = []  # anchors, members
     diagnostics: list[str] = []
     window = config.tail_window
 
@@ -279,13 +268,11 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
             diagnostics.append(
                 f"iterate {next_rank}: tail amplitude spread {spread:.6e} exceeds conv_tol"
             )
-        params: dict[int, LatticeParams] = {
-            n: (tops[n][0].scale, tops[n][0].shift.numerators) for n in retained
-        }
+        params = {n: DyadicAffine(tops[n][0].scale, tops[n][0].shift) for n in retained}
 
         ambiguous = False
-        for group in groups:
-            tail_rel = [relative_map(group.anchors[n], params[n]) for n in tail]
+        for anchors, members in groups:
+            tail_rel = [relative_map(anchors[n], params[n]) for n in tail]
             constant = tail_rel[0]
             if all(r == constant for r in tail_rel) and magnitude(constant) <= config.bound_threshold:
                 # ``tail`` is the suffix of ``retained`` and all its maps equal
@@ -294,12 +281,12 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
                 narrow(
                     [
                         n for n in retained[:-window]
-                        if relative_map(group.anchors[n], params[n]) == constant
+                        if relative_map(anchors[n], params[n]) == constant
                     ] + tail,
                     "relative-map constancy dropped {} indices",
                 )
                 index = WaveletIndex._unchecked(modal_gen, constant.scale, constant.shift)
-                group.members.append(GroupMember(index, limit_amp, next_rank))
+                members.append(GroupMember(index, limit_amp, next_rank))
                 break
             gaps = [magnitude(r) for r in tail_rel]
             separated = (
@@ -310,8 +297,7 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
                 ambiguous = True
         else:
             origin = WaveletIndex._unchecked(modal_gen, 0, DyadicRationalVec.zero(dim))
-            anchor = GroupMember(origin, limit_amp, next_rank)
-            groups.append(_WorkingGroup(dict(params), anchor))
+            groups.append((params, [GroupMember(origin, limit_amp, next_rank)]))
             if ambiguous:
                 diagnostics.append(
                     f"iterate {next_rank}: ambiguous relative parameters, "
@@ -321,9 +307,9 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
         next_rank += 1
 
     final_groups: list[ProfileGroup] = []
-    for position, group in enumerate(groups):
+    for position, (anchors, members) in enumerate(groups):
         entries: dict[WaveletIndex, float] = {}
-        for member in group.members:
+        for member in members:
             if member.amplitude == 0.0:
                 diagnostics.append(
                     f"group {position}: zero limit amplitude at rank {member.rank}, "
@@ -333,10 +319,8 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
             if member.index in entries:
                 raise RuntimeError("distinct members collided on one profile index")
             entries[member.index] = member.amplitude
-        anchors = {n: group.anchors[n] for n in retained}
-        final_groups.append(
-            ProfileGroup(anchors, tuple(group.members), CoeffField(dim, p, entries))
-        )
+        kept = {n: anchors[n] for n in retained}
+        final_groups.append(ProfileGroup(kept, tuple(members), CoeffField(dim, p, entries)))
 
     dec = Decomposition(
         dim=dim,
@@ -363,7 +347,7 @@ def reconstruct(dec: Decomposition, level: int, n: int) -> CoeffField:
     dec.require_retained(n)
     acc = CoeffField.empty(dec.dim, dec.p)
     for g in dec.groups[:level]:
-        acc = combine(acc, transform(g.profile, g.anchor_affine(n)))
+        acc = combine(acc, transform(g.profile, g.anchor_params[n]))
     return acc
 
 
@@ -387,8 +371,8 @@ def cross_interaction(dec: Decomposition, first: int, second: int, n: int) -> fl
     dec.require_retained(n)
     if dec.p == 2.0:
         return 0.0
-    f = transform(dec.groups[first].profile, dec.groups[first].anchor_affine(n))
-    g = transform(dec.groups[second].profile, dec.groups[second].anchor_affine(n))
+    f = transform(dec.groups[first].profile, dec.groups[first].anchor_params[n])
+    g = transform(dec.groups[second].profile, dec.groups[second].anchor_params[n])
     return cross_square_pair(f, g)[0]
 
 
@@ -496,7 +480,7 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
     excess: list[list[float]] = [[] for _ in levels]
     table = [[[0.0] * len(ns) for _ in range(groups)] for _ in range(groups)]
     for pos, n in enumerate(ns):
-        placed = [transform(g.profile, g.anchor_affine(n)) for g in dec.groups]
+        placed = [transform(g.profile, g.anchor_params[n]) for g in dec.groups]
         given = dec.inputs[n]
         source = given.entries
         # From one level to the next the partial sum and the remainder change

@@ -14,7 +14,7 @@ from collections.abc import Mapping
 from json.encoder import encode_basestring as _encode_str
 from typing import Any
 
-from .dyadic import DyadicRationalVec, WaveletIndex
+from .dyadic import DyadicAffine, DyadicRationalVec, WaveletIndex
 from .extract import (
     BesovInput,
     Decomposition,
@@ -241,7 +241,7 @@ def _member_from_obj(obj: Any, dim: int) -> GroupMember:
 
 def _group_obj(group: ProfileGroup) -> dict:
     anchor_rows = [
-        [n, j, list(k)] for n, (j, k) in sorted(group.anchor_params.items())
+        [n, a.scale, list(a.shift.numerators)] for n, a in sorted(group.anchor_params.items())
     ]
     return {
         "anchor": anchor_rows,
@@ -260,9 +260,9 @@ def _group_from_obj(obj: Any, dim: int, p: float) -> ProfileGroup:
         if not (isinstance(row, list) and len(row) == 3):
             raise ValueError("anchor rows must be [n, j, k]")
         row = dict(zip(("index", "scale", "shift"), row))
-        anchors[_get(row, "index", "anchor row", int)] = (
+        anchors[_get(row, "index", "anchor row", int)] = DyadicAffine(
             _get(row, "scale", "anchor row", int),
-            _shift(row, "shift", dim, "anchor row"),
+            DyadicRationalVec(_shift(row, "shift", dim, "anchor row")),
         )
     members = tuple(_member_from_obj(m, dim) for m in _get(obj, "members", "group", list, []))
     return ProfileGroup(anchors, members, _entries_from_obj(obj, "profile", dim, p))

@@ -24,14 +24,19 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from itertools import product
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .field import CoeffField, order_key
 
 _REL_SLACK = 1e-12
 _TINY = sys.float_info.min
 _LEAST = math.ldexp(1.0, -1074)
+
+# Most cubes times distinct sides one nested-cube walk may cost (see README,
+# "Cost model"); a box k bits off the grid splits into about 2d * 2**((d-1)*k).
+MAX_WALK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,10 @@ class _Underflow(ArithmeticError):
     """A quantity that cannot be zero rounded to zero or to a subnormal float."""
 
 
+class _Unbounded(ArithmeticError):
+    """The nested-cube walk would cost more than ``MAX_WALK``."""
+
+
 def _finite(name: str):
     """Make a result of a norm outside the normal float range a ValueError naming ``name``.
 
@@ -77,6 +86,8 @@ def _finite(name: str):
                 raise ValueError(message) from None
             except _Underflow:
                 raise ValueError(f"{name} underflows the float range") from None
+            except _Unbounded:
+                raise ValueError(f"{name} needs more than {MAX_WALK} cubes times sides") from None
             values = result if isinstance(result, tuple) else (result,)
             if not all(map(math.isfinite, values)):
                 raise ValueError(message)
@@ -206,6 +217,7 @@ def _cell_integral(
     sub-cubes tile holds no tree cell and is never evaluated.  Cost is
     distinct cubes times distinct sides, with no factor 2**d.
     """
+    _check_walk(layers)
     # Where the tree adds each box's weight, in listed order.
     weights: dict[tuple[int, tuple[int, ...]], list[tuple[int, float]]] = {}
     root, root_exp = [0.0] * len(layers), None
@@ -218,7 +230,7 @@ def _cell_integral(
                 root_exp = side_exp
                 continue
             else:
-                cubes = _dyadic_cubes(lo, side_exp)
+                cubes = [(e, c) for e, spans in _cube_blocks(lo, side_exp) for c in product(*spans)]
             for cube in cubes:
                 weights.setdefault(cube, []).append((layer_id, weight))
 
@@ -297,31 +309,54 @@ def _is_root_cell(lo: tuple[int, ...], side_exp: int, layers: Sequence[list[_Ite
     )
 
 
-def _dyadic_cubes(lo: tuple[int, ...], side_exp: int) -> list[tuple[int, tuple[int, ...]]]:
-    """The maximal dyadic cubes in the box [lo, lo + 2**side_exp)**d, as (side_exp, lo).
+def _cube_blocks(lo: tuple[int, ...], side_exp: int) -> Iterator[tuple[int, list]]:
+    """The maximal dyadic cubes in the box [lo, lo + 2**side_exp)**d, as blocks (e, spans).
 
-    Such a cube lies in the box and its parent does not.  They have sides
-    from half the box's down to the largest power of two dividing every
-    corner coordinate, at which dyadic cubes tile the box; at each side they
-    line the box's boundary, as the cells a tree splits there do.
+    Such a cube lies in the box and its parent does not; a block holds those of
+    side 2**e whose corners are the product of its per-axis spans.  Sides run
+    from half the box's down to the largest power of two dividing every corner
+    coordinate; at each the cubes line the box's boundary, as the cells a tree
+    splits there do.  Each side holds one, so a box of over ``MAX_WALK ** 0.5``
+    sides is rejected before any block is made.
     """
     finest = min((c & -c).bit_length() - 1 for c in lo if c)
-    cubes = []
+    if (side_exp - finest) ** 2 > MAX_WALK:
+        raise _Unbounded
     for e in range(side_exp - 1, finest - 1, -1):
         # Per axis, the corners of the side-2**e intervals in the box, and
-        # those whose parent interval lies in the box too.
+        # the run of those whose parent interval lies in the box too.
         inside, nested = [], []
         for a in lo:
             b = a + (1 << side_exp)
             inside.append(range(-(-a >> e) << e, b >> e << e, 1 << e))
             nested.append(range(-(-a >> (e + 1)) << (e + 1), b >> (e + 1) << (e + 1), 1 << e))
-        # A cube is maximal when some axis leaves ``nested``: split by the first.
+        # A cube is maximal when some axis leaves ``nested``: split by the
+        # first.  ``nested`` is a run inside the axis, so only an end can.
         for i, axis in enumerate(inside):
-            corners: list[tuple[int, ...]] = [()]
-            for span in nested[:i] + [[x for x in axis if x not in nested[i]]] + inside[i + 1:]:
-                corners = [corner + (x,) for corner in corners for x in span]
-            cubes.extend((e, corner) for corner in corners)
-    return cubes
+            ends = [x for x in (*axis[:1], *axis[1:][-1:]) if x not in nested[i]]
+            yield e, nested[:i] + [ends] + inside[i + 1:]
+
+
+def _check_walk(layers: Sequence[list[_Item]]) -> None:
+    """Raise ``_Unbounded`` when the walk could cost more than ``MAX_WALK`` cubes times sides.
+
+    A dyadic box is one cube; any other box counts its blocks' spans, building no corner.
+    """
+    cubes, sides = 0, set()
+    for items in layers:
+        for lo, side_exp, _ in items:
+            if not any(c & ((1 << side_exp) - 1) for c in lo):
+                cubes += 1
+                sides.add(side_exp)
+                continue
+            for e, spans in _cube_blocks(lo, side_exp):
+                # index() counts past sys.maxsize, where len() of a range stops.
+                cubes += math.prod(s.index(s[-1]) + 1 if s else 0 for s in spans)
+                sides.add(e)
+                if cubes * len(sides) > MAX_WALK:
+                    raise _Unbounded
+    if cubes * len(sides) > MAX_WALK:
+        raise _Unbounded
 
 
 def _bounding_box(items: list[_Item]) -> list[tuple[int, int]]:

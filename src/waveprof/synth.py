@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable
 
 from .dyadic import (
@@ -71,7 +72,7 @@ LAW_KINDS = ("constant", "translation", "scaling", "mixed")
 
 @dataclass(frozen=True)
 class ParamLaw:
-    """Rule n -> (scale, shift) for one planted profile, n running from 1."""
+    """The frame x -> 2**j * x - k of one planted profile at each n, n running from 1."""
 
     kind: str
     j0: int
@@ -98,15 +99,11 @@ class ParamLaw:
         if (moving, scaling) != expected:
             raise ValueError(f"law fields inconsistent with kind {self.kind!r}")
 
-    def params(self, n: int) -> tuple[int, tuple[int, ...]]:
-        return (
+    def params(self, n: int) -> DyadicAffine:
+        return DyadicAffine(
             self.j0 + n * self.scale_step,
-            tuple(c + n * v for c, v in zip(self.k0, self.velocity)),
+            DyadicRationalVec(tuple(c + n * v for c, v in zip(self.k0, self.velocity))),
         )
-
-    def affine(self, n: int) -> DyadicAffine:
-        j, k = self.params(n)
-        return DyadicAffine.from_lattice(j, k)
 
 
 @dataclass(frozen=True)
@@ -157,25 +154,21 @@ def _check_spec(spec: SyntheticSpec) -> None:
         )
     if len(spec.profiles) > 1 and spec.n_count < 2:
         raise ValueError("divergence of several laws needs n_count >= 2")
-    for i in range(len(spec.profiles)):
-        for k in range(i + 1, len(spec.profiles)):
-            gaps = [
-                orthogonality_gap(
-                    spec.profiles[i].law.params(n), spec.profiles[k].law.params(n)
-                )
-                for n in range(1, spec.n_count + 1)
-            ]
-            if any(gaps[t + 1] <= gaps[t] for t in range(len(gaps) - 1)):
-                raise ValueError(
-                    f"parameter laws {i} and {k} do not separate over the range"
-                )
+    last: dict[tuple[int, int], float] = {}  # each pair's gap at the previous n
+    for n in range(1, spec.n_count + 1):
+        frames = [planted.law.params(n) for planted in spec.profiles]
+        for i, k in combinations(range(len(frames)), 2):
+            gap = orthogonality_gap(frames[i], frames[k])
+            if gap <= last.get((i, k), -math.inf):
+                raise ValueError(f"parameter laws {i} and {k} do not separate at n={n}")
+            last[i, k] = gap
 
 
 def _placed(spec: SyntheticSpec, n: int) -> list[CoeffField]:
     """Every planted profile moved to index ``n``; off-lattice or colliding ones are rejected."""
     placed: list[CoeffField] = []
     for position, planted in enumerate(spec.profiles):
-        field = transform(planted.field, planted.law.affine(n))
+        field = transform(planted.field, planted.law.params(n))
         if not field.is_lattice:
             raise ValueError(f"profile {position} leaves the lattice at n={n}")
         if any(not earlier.entries.keys().isdisjoint(field.entries) for earlier in placed):
@@ -209,10 +202,9 @@ def _reframed_groups(spec: SyntheticSpec, retained: tuple[int, ...]) -> list[Pro
         anchor_index, _ = rank(planted.field)[0]
         sigma = _entry_affine(anchor_index)
         profile = transform(planted.field, invert(sigma))
-        anchors = {}
-        for n in retained:
-            moved = act_on_index(planted.law.affine(n), anchor_index)
-            anchors[n] = (moved.scale, moved.shift.numerators)
+        anchors = {
+            n: _entry_affine(act_on_index(planted.law.params(n), anchor_index)) for n in retained
+        }
         members = [(i, profile.entries[i]) for i in sorted(profile, key=order_key(profile))]
         staged.append((anchors, members, profile))
 
@@ -277,7 +269,7 @@ def _noise_field(
     while len(entries) < spec.noise_count:
         gen = 1 + stream.below((1 << spec.dim) - 1)
         shift = tuple(base + stream.below(width) for _ in range(spec.dim))
-        index = WaveletIndex(gen, scale, DyadicRationalVec.from_ints(shift))
+        index = WaveletIndex(gen, scale, DyadicRationalVec(shift))
         if index in entries:
             continue
         amp = (2.0 * stream.unit() - 1.0) * spec.noise_amp
@@ -356,7 +348,7 @@ def _try_match(
         if set(mapped.entries) != set(truth_group.profile.entries):
             continue
         if any(
-            compose(truth_group.anchor_affine(n), sigma) != found_group.anchor_affine(n)
+            compose(truth_group.anchor_params[n], sigma) != found_group.anchor_params[n]
             for n in ns
         ):
             continue

@@ -19,7 +19,11 @@ settings.load_profile("det")
 
 
 def lattice_index(gen: int, scale: int, *shift: int) -> WaveletIndex:
-    return WaveletIndex(gen, scale, DyadicRationalVec.from_ints(shift))
+    return WaveletIndex(gen, scale, DyadicRationalVec(shift))
+
+
+def lattice_frame(scale: int, *shift: int) -> DyadicAffine:
+    return DyadicAffine(scale, DyadicRationalVec(shift))
 
 
 def order_key_oracle(index: WaveletIndex) -> tuple:
@@ -30,7 +34,7 @@ def order_key_oracle(index: WaveletIndex) -> tuple:
 
 def single_entry_field(dim: int, p: float, amp: float, gen=1, scale=0, shift=None) -> CoeffField:
     shift = shift if shift is not None else (0,) * dim
-    return CoeffField.from_items(dim, p, [(WaveletIndex(gen, scale, DyadicRationalVec.from_ints(shift)), amp)])
+    return CoeffField.from_items(dim, p, [(WaveletIndex(gen, scale, DyadicRationalVec(shift)), amp)])
 
 
 def cube_bounds(index: WaveletIndex) -> tuple[tuple[float, float], ...]:
@@ -84,12 +88,10 @@ def random_affine(
     return DyadicAffine(scale, DyadicRationalVec(nums, exp))
 
 
-def gap_oracle(a, b) -> float:
+def gap_oracle(a: DyadicAffine, b: DyadicAffine) -> float:
     """orthogonality_gap by its direct formula |ja - jb| + |kb * 2**(ja - jb) - ka|."""
-    ja, ka = int(a[0]), tuple(int(c) for c in a[1])
-    jb, kb = int(b[0]), tuple(int(c) for c in b[1])
-    rel = DyadicRationalVec.from_ints(kb).scaled_by_pow2(ja - jb) - DyadicRationalVec.from_ints(ka)
-    return abs(ja - jb) + rel.euclidean_norm()
+    rel = b.shift.scaled_by_pow2(a.scale - b.scale) - a.shift
+    return abs(a.scale - b.scale) + rel.euclidean_norm()
 
 
 # Index arithmetic by its defining formulas, built through the public
@@ -123,14 +125,10 @@ def sub_oracle(a: DyadicRationalVec, b: DyadicRationalVec) -> DyadicRationalVec:
     return add_oracle(a, neg_oracle(b))
 
 
-def relative_map_oracle(anchor, target) -> DyadicAffine:
+def relative_map_oracle(anchor: DyadicAffine, target: DyadicAffine) -> DyadicAffine:
     """k1 - 2**(j1 - j0) * k0 over scale j1 - j0."""
-    (j0, k0), (j1, k1) = anchor, target
-    delta = int(j1) - int(j0)
-    shift = sub_oracle(
-        DyadicRationalVec.from_ints(k1), scaled_oracle(DyadicRationalVec.from_ints(k0), delta)
-    )
-    return DyadicAffine(delta, shift)
+    delta = target.scale - anchor.scale
+    return DyadicAffine(delta, sub_oracle(target.shift, scaled_oracle(anchor.shift, delta)))
 
 
 def act_on_index_oracle(tau: DyadicAffine, index: WaveletIndex) -> WaveletIndex:

@@ -403,7 +403,7 @@ def test_criterion_6_stability(corpus_runs):
 def _support_bbox(group, n):
     lo = None
     hi = None
-    anchor = group.anchor_affine(n)
+    anchor = group.anchor_params[n]
     for index in group.profile.entries:
         moved = act_on_index(anchor, index)
         cube_lo = [

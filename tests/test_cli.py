@@ -180,13 +180,39 @@ class TestGenerate:
         assert main(["generate", str(path), str(tmp_path / "out")]) == 2
         assert f"error: {path}: spec lacks the required key 'p'" in capsys.readouterr().err
 
-    def test_seed_override_changes_noise(self, corpus, tmp_path):
-        spec_path, corpus_dir, _ = corpus[0] / "spec.json", corpus[1], corpus[2]
-        other = corpus[0] / "other"
-        assert main(["generate", str(spec_path), str(other), "--seed", "99"]) == 0
+    def test_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        # The seed lives in the spec file; no flag overrides it.
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(SPEC_OBJ))
+        with pytest.raises(SystemExit) as exited:
+            main(["generate", str(spec_path), str(tmp_path / "out"), "--seed", "99"])
+        assert exited.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_spec_seed_changes_noise(self, corpus):
+        tmp, corpus_dir, _ = corpus
+        spec_path = tmp / "reseeded.json"
+        spec_path.write_text(json.dumps(dict(SPEC_OBJ, seed=99)))
+        assert main(["generate", str(spec_path), str(tmp / "other")]) == 0
         a = (corpus_dir / "field_0001.json").read_text()
-        b = (other / "field_0001.json").read_text()
+        b = (tmp / "other" / "field_0001.json").read_text()
         assert a != b
+
+    def test_names_sort_in_sequence_order_past_9999_fields(self, tmp_path):
+        # decompose reads the sorted names as u_1, u_2, ...; at 10000 fields
+        # every name has five digits, so field_10000 no longer sorts as u_1001.
+        moving = {"kind": "translation", "j0": 0, "k0": [0], "velocity": [2]}
+        spec = dict(SPEC_OBJ, n_count=10000, profiles=[dict(SPEC_OBJ["profiles"][0], law=moving)])
+        del spec["noise"]
+        spec_path = tmp_path / "long.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["generate", str(spec_path), str(tmp_path / "out")]) == 0
+        names = sorted(p.name for p in (tmp_path / "out").glob("field_*.json"))
+        assert names == [f"field_{n:05d}.json" for n in range(1, 10001)]
+        for n in (1, 1001, 10000):
+            field = json.loads((tmp_path / "out" / names[n - 1]).read_text())
+            assert field["entries"][0]["k"] == [2 * n]
 
 
 class TestDecompose:
@@ -562,6 +588,27 @@ class TestNorms:
         }))
         assert main(["norms", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["lp"] == 2**0.25
+
+    @pytest.mark.parametrize("dim, denom_exp, code", [(1, 64, 0), (2, 40, 2)])
+    def test_a_box_far_off_the_grid_ends_quickly(self, tmp_path, dim, denom_exp, code):
+        # A child process, so that a walk without end fails at the timeout.
+        # At d = 1 the box once scanned all 2**64 corners of its finest side;
+        # at d = 2 it splits into about 2**43 cubes, past the walk bound.
+        path = tmp_path / "off_grid.json"
+        path.write_text(json.dumps({
+            "dimension": dim, "p": 4.0,
+            "entries": [{"i": 1, "j": 0, "k": [1] * dim, "denom_exp": denom_exp, "amp": 1.0}],
+        }))
+        env = dict(os.environ, PYTHONPATH=str(Path(waveprof.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "waveprof.cli", "norms", str(path)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == code
+        if code == 0:
+            assert json.loads(done.stdout)["lp"] == 1.0
+        else:
+            assert "Lebesgue norm needs more than 1048576 cubes times sides" in done.stderr
 
     @pytest.mark.parametrize(
         "scale, p, amp",

@@ -53,7 +53,7 @@ def affines(draw, dim):
 def lattice_param_pairs(draw):
     dim = draw(st.integers(1, 3))
     shifts = st.lists(st.integers(-2**40, 2**40), min_size=dim, max_size=dim).map(tuple)
-    return (draw(st.integers(-12, 12)), draw(shifts)), (draw(st.integers(-12, 12)), draw(shifts))
+    return aff(draw(st.integers(-12, 12)), *draw(shifts)), aff(draw(st.integers(-12, 12)), *draw(shifts))
 
 
 @st.composite
@@ -212,45 +212,52 @@ class TestIndexAction:
 
 class TestOrthogonalityGap:
     def test_examples(self):
-        assert orthogonality_gap((0, (0,)), (0, (0,))) == 0.0
-        assert orthogonality_gap((0, (0,)), (0, (24,))) == 24.0
-        assert orthogonality_gap((0, (0,)), (5, (0,))) == 5.0
+        assert orthogonality_gap(aff(0, 0), aff(0, 0)) == 0.0
+        assert orthogonality_gap(aff(0, 0), aff(0, 24)) == 24.0
+        assert orthogonality_gap(aff(0, 0), aff(5, 0)) == 5.0
 
     def test_equals_relative_map_magnitude(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             dim = int(rng.integers(1, 3))
-            a = (int(rng.integers(-4, 5)), tuple(int(rng.integers(-20, 21)) for _ in range(dim)))
-            b = (int(rng.integers(-4, 5)), tuple(int(rng.integers(-20, 21)) for _ in range(dim)))
+            a = aff(int(rng.integers(-4, 5)), *(int(rng.integers(-20, 21)) for _ in range(dim)))
+            b = aff(int(rng.integers(-4, 5)), *(int(rng.integers(-20, 21)) for _ in range(dim)))
             assert orthogonality_gap(a, b) == magnitude(relative_map(a, b))
 
     @given(lattice_param_pairs())
-    @example(((0, (3,)), (-5, (7,))))
-    @example(((-2, (1, -9)), (4, (-3, 5))))
-    @example(((3, (5, -7, 2)), (-4, (1, 2, -3))))
+    @example((aff(0, 3), aff(-5, 7)))
+    @example((aff(-2, 1, -9), aff(4, -3, 5)))
+    @example((aff(3, 5, -7, 2), aff(-4, 1, 2, -3)))
     def test_matches_the_direct_formula(self, pair):
         a, b = pair
         assert orthogonality_gap(a, b).hex() == gap_oracle(a, b).hex()
 
     def test_divergence_matches_parameter_divergence(self):
-        gaps = [orthogonality_gap((0, (0,)), (n, (3 * n,))) for n in range(1, 40)]
+        gaps = [orthogonality_gap(aff(0, 0), aff(n, 3 * n)) for n in range(1, 40)]
         assert gaps == sorted(gaps) and gaps[-1] > 39
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            orthogonality_gap((0, (0,)), (0, (0, 0)))
+            orthogonality_gap(aff(0, 0), aff(0, 0, 0))
 
 
 class TestRelativeMap:
     def test_carries_anchor_to_target(self):
-        anchor, target = (2, (5, -1)), (4, (7, 3))
-        rel = relative_map(anchor, target)
-        anchor_aff = DyadicAffine.from_lattice(*anchor)
-        target_aff = DyadicAffine.from_lattice(*target)
-        assert compose(anchor_aff, rel) == target_aff
+        anchor, target = aff(2, 5, -1), aff(4, 7, 3)
+        assert compose(anchor, relative_map(anchor, target)) == target
 
     def test_identity_for_equal_params(self):
-        assert relative_map((3, (4,)), (3, (4,))).is_identity
+        assert relative_map(aff(3, 4), aff(3, 4)).is_identity
+
+    def test_rejects_frames_off_the_lattice(self):
+        # The integer body reads numerators only; a dyadic shift would be
+        # silently misread as an integer one, so it raises instead.
+        lattice, dyadic = aff(0, 1), aff(0, 1, e=1)
+        for anchor, target in ((lattice, dyadic), (dyadic, lattice), (dyadic, dyadic)):
+            with pytest.raises(ValueError, match="integral shifts"):
+                relative_map(anchor, target)
+            with pytest.raises(ValueError, match="integral shifts"):
+                orthogonality_gap(anchor, target)
 
 
 # Denominator exponents: integral, small, and far beyond any numerator's bits.
@@ -307,10 +314,10 @@ class TestLowestTermsByConstruction:
         assert_same_vec(-a, neg_oracle(a))
 
     @given(lattice_param_pairs())
-    @example(((0, (3,)), (-5, (7,))))
-    @example(((4, (2, -6)), (1, (8, 0))))
-    @example(((-2, (1, -9)), (-2, (1, -9))))
-    @example(((5, (0, 0, 0)), (-300, (0, 4, -8))))
+    @example((aff(0, 3), aff(-5, 7)))
+    @example((aff(4, 2, -6), aff(1, 8, 0)))
+    @example((aff(-2, 1, -9), aff(-2, 1, -9)))
+    @example((aff(5, 0, 0, 0), aff(-300, 0, 4, -8)))
     def test_relative_map(self, pair):
         anchor, target = pair
         got, want = relative_map(anchor, target), relative_map_oracle(anchor, target)
@@ -320,7 +327,7 @@ class TestLowestTermsByConstruction:
     def test_relative_map_dimension_mismatch(self):
         for delta in (-2, 0, 3):
             with pytest.raises(ValueError):
-                relative_map((0, (0,)), (delta, (0, 0)))
+                relative_map(aff(0, 0), aff(delta, 0, 0))
 
     @given(dim_and_vecs(2), st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 7))
     @example((1, [DyadicRationalVec((2,), 0), DyadicRationalVec((4,), 0)]), 0, -2, 1)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from waveprof.dyadic import DyadicRationalVec, WaveletIndex
+from waveprof.dyadic import DyadicAffine, DyadicRationalVec, WaveletIndex
 import numpy as np
 
 from waveprof import extract, field
@@ -27,7 +27,7 @@ from waveprof.io_json import decomposition_from_obj, decomposition_to_obj
 from waveprof.field import CoeffField, combine, transform
 from waveprof.norms import coeff_lp, interpolation_check, lp_norm, sup_amplitude
 from waveprof.synth import ParamLaw, PlantedProfile, SyntheticSpec, generate
-from conftest import lattice_index, random_field
+from conftest import lattice_frame, lattice_index, random_field
 
 
 def lp_config(p=4.0, **overrides) -> ExtractConfig:
@@ -117,7 +117,7 @@ class TestConstantSequence:
         assert len(dec.groups) == 1
         assert dec.retained == (1, 2, 3, 4, 5)
         group = dec.groups[0]
-        assert all(group.anchor_params[n] == (0, (0,)) for n in dec.retained)
+        assert all(group.anchor_params[n] == lattice_frame(0, 0) for n in dec.retained)
         assert group.profile == seq[0]
         assert group.members[0].index == lattice_index(1, 0, 0)
         assert len(remainder(dec, 1, 1)) == 0
@@ -159,7 +159,7 @@ class TestTranslationPair:
     def test_two_groups_with_expected_anchors(self):
         dec, _ = self.make()
         assert len(dec.groups) == 2
-        assert dec.groups[1].anchor_params[3] == (0, (24,))
+        assert dec.groups[1].anchor_params[3] == lattice_frame(0, 24)
         assert len(remainder(dec, 2, 5)) == 0
 
     def test_gap_table(self):
@@ -221,7 +221,7 @@ class TestBoundedRelativeMap:
 def _small_decomposition():
     """One group over three inputs, every index retained."""
     profile = CoeffField.from_items(1, 4.0, [(lattice_index(1, 0, 0), 1.0)])
-    anchors = {n: (0, (n,)) for n in (1, 2, 3)}
+    anchors = {n: lattice_frame(0, n) for n in (1, 2, 3)}
     inputs = {n: CoeffField.from_items(1, 4.0, [(lattice_index(1, 0, n), 1.0)]) for n in (1, 2, 3)}
     return Decomposition(1, 4.0, inputs, (ProfileGroup(anchors, (), profile),), (1, 2, 3), ())
 
@@ -242,6 +242,13 @@ def _missing_anchor(dec):
     return {"groups": (dataclasses.replace(dec.groups[0], anchor_params=anchors),)}
 
 
+def _anchor_off_the_lattice(dec):
+    # A report row [n, j, k] has no denominator, so such an anchor cannot be written.
+    anchors = dict(dec.groups[0].anchor_params)
+    anchors[2] = DyadicAffine(0, DyadicRationalVec((1,), 1))
+    return {"groups": (dataclasses.replace(dec.groups[0], anchor_params=anchors),)}
+
+
 class TestDecompositionChecksItself:
     CASES = [
         (_other_dimension, "inputs do not match the stored decomposition"),
@@ -250,10 +257,11 @@ class TestDecompositionChecksItself:
         (lambda dec: {"retained": (2, 1, 3)}, "retained must list strictly increasing corpus indices"),
         (lambda dec: {"retained": (1, 1, 3)}, "retained must list strictly increasing corpus indices"),
         (_missing_anchor, "group 0 lacks anchor rows for retained indices"),
+        (_anchor_off_the_lattice, "group 0 has an anchor off the integer lattice"),
     ]
     IDS = [
         "input-dimension", "profile-exponent", "retained-outside", "retained-unsorted",
-        "retained-repeated", "missing-anchor",
+        "retained-repeated", "missing-anchor", "anchor-off-the-lattice",
     ]
 
     @pytest.mark.parametrize("broken, message", CASES, ids=IDS)
@@ -395,7 +403,7 @@ class TestDiagnostics:
             "iterate 2: retained set shrank below the tail window",
         )
         assert dec.retained == (4,)
-        assert len(dec.groups) == 1 and dict(dec.groups[0].anchor_params) == {4: (0, (0,))}
+        assert len(dec.groups) == 1 and dict(dec.groups[0].anchor_params) == {4: lattice_frame(0, 0)}
 
     def test_generator_restriction_below_the_tail_window_stops(self):
         odd = [(lattice_index(3, 0, 0, 0), 1.0)]
@@ -623,10 +631,10 @@ def _planted_groups(rng, dim, p, count, n_count, overlap):
         profile = random_field(rng, dim, p, max_entries=4, scale_lo=-1, scale_hi=1,
                                shift_bound=2, denom_exp_max=1)
         if overlap:
-            anchors = {n: (0, (0,) * dim) for n in range(1, n_count + 1)}
+            anchors = {n: lattice_frame(0, *(0,) * dim) for n in range(1, n_count + 1)}
         else:
             anchors = {
-                n: (int(rng.integers(-1, 2)), tuple(int(rng.integers(-3, 4)) for _ in range(dim)))
+                n: lattice_frame(int(rng.integers(-1, 2)), *(int(rng.integers(-3, 4)) for _ in range(dim)))
                 for n in range(1, n_count + 1)
             }
         groups.append(ProfileGroup(anchors, (), profile))
@@ -643,7 +651,7 @@ def _random_decomposition(seed):
     for n in range(1, n_count + 1):
         noise = random_field(rng, dim, p, max_entries=6, scale_lo=-1, scale_hi=2, shift_bound=4)
         # Part of a placed profile, so that some remainder entries cancel exactly.
-        placed = transform(groups[0].profile, groups[0].anchor_affine(n))
+        placed = transform(groups[0].profile, groups[0].anchor_params[n])
         kept = dict(list(placed.entries.items())[: int(rng.integers(0, len(placed) + 1))])
         inputs[n] = CoeffField(dim, p, {**noise.entries, **kept}) if placed.is_lattice else noise
     return Decomposition(dim, p, inputs, tuple(groups), tuple(range(1, n_count + 1)), ())
@@ -654,7 +662,7 @@ def _cancelling_decomposition():
     index = lattice_index(1, 0, 0)
     x = 0.7
     profiles = [(index, 0.3), (index, -0.3), (index, x), (lattice_index(1, 1, 1), 0.1)]
-    anchors = {n: (0, (0,)) for n in (1, 2, 3)}
+    anchors = {n: lattice_frame(0, 0) for n in (1, 2, 3)}
     groups = tuple(
         ProfileGroup(anchors, (), CoeffField.from_items(1, 4.0, [entry])) for entry in profiles
     )
@@ -731,7 +739,7 @@ class TestIncrementalRemainders:
         # Besov exponents keep every norm before that sum finite.
         index = lattice_index(1, 0, 0)
         profile = CoeffField.from_items(1, 4.0, [(index, 0.9e308)])
-        anchors = {n: (0, (0,)) for n in (1, 2)}
+        anchors = {n: lattice_frame(0, 0) for n in (1, 2)}
         groups = (ProfileGroup(anchors, (), profile),) * 2
         inputs = {n: CoeffField.from_items(1, 4.0, [(lattice_index(1, 0, 5), 1.0)]) for n in (1, 2)}
         dec = Decomposition(1, 4.0, inputs, groups, (1, 2), ())

@@ -49,7 +49,7 @@ class TestTransform:
 
     def test_single_entry_example(self):
         f = fld(4.0, (lattice_index(1, 0, 0), 1.0))
-        tau = DyadicAffine.from_lattice(1, (1,))
+        tau = DyadicAffine(1, DyadicRationalVec((1,)))
         moved = transform(f, tau)
         assert dict(moved.entries) == {lattice_index(1, 1, 1): 1.0}
 

@@ -307,7 +307,7 @@ def test_verify_makes_one_cross_pass_per_overlapping_pair(monkeypatch):
 
     overlapping = 0
     for n in ns:
-        hulls = [_hull(transform(g.profile, g.anchor_affine(n))) for g in dec.groups]
+        hulls = [_hull(transform(g.profile, g.anchor_params[n])) for g in dec.groups]
         for i in range(groups):
             for k in range(i + 1, groups):
                 overlapping += all(

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import emit_oracle
 
+from waveprof.dyadic import DyadicAffine, DyadicRationalVec
 from waveprof.extract import extract_profiles
 from waveprof.io_json import (
     config_from_obj,
@@ -181,3 +182,15 @@ class TestCanonicalEmitter:
         with pytest.raises(error):
             dumps_canonical(obj)
         assert _outcome(dumps_canonical, obj) == _outcome(emit_oracle, obj)
+
+
+def test_anchor_rows_round_trip_as_frames():
+    # A group anchor is a DyadicAffine frame in the library and an [n, j, k]
+    # row in JSON; the moving profile sits at shift 8n.
+    obj = DOCUMENTS["decomposition"][0]
+    dec = decomposition_from_obj(obj, _INPUTS)
+    assert obj["groups"][1]["anchor"] == [[n, 0, [8 * n]] for n in dec.retained]
+    assert dec.groups[1].anchor_params == {
+        n: DyadicAffine(0, DyadicRationalVec((8 * n,))) for n in dec.retained
+    }
+    assert dumps_canonical(decomposition_to_obj(dec)) == dumps_canonical(obj)

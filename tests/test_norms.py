@@ -3,10 +3,11 @@ from __future__ import annotations
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from waveprof.dyadic import DyadicRationalVec, WaveletIndex
@@ -495,6 +496,77 @@ class TestCellIntegralKernel:
         # A cell tree would split 2**64 cells around this cube.
         f = fld(4.0, (lattice_index(1, 1, *[0] * 64), -0.5), dim=64)
         assert lp_norm(f) == 0.5
+
+
+@st.composite
+def _off_grid_boxes(draw):
+    """A box [lo, lo + 2**side_exp)**d, d 1-3, whose corner is off the grid of its side."""
+    dim = draw(st.integers(1, 3))
+    side_exp = draw(st.integers(1, 4))
+    lo = tuple(draw(st.integers(-40, 40)) for _ in range(dim))
+    assume(any(c % (1 << side_exp) for c in lo))
+    return lo, side_exp
+
+
+def _maximal_cubes_oracle(lo, side_exp):
+    """Every dyadic cube in the box whose parent is not, by enumerating all cubes in it."""
+
+    def in_box(e, corner):
+        return all(a <= c and c + (1 << e) <= a + (1 << side_exp) for a, c in zip(lo, corner))
+
+    cubes = []
+    for e in range(side_exp):
+        axes = [[c for c in range(a, a + (1 << side_exp)) if c % (1 << e) == 0] for a in lo]
+        for corner in product(*axes):
+            parent = tuple(c - c % (1 << (e + 1)) for c in corner)
+            if in_box(e, corner) and not in_box(e + 1, parent):
+                cubes.append((e, corner))
+    return sorted(cubes)
+
+
+class TestDyadicCubes:
+    """The blocks of a box off the grid against enumeration, and the walk bound counted from them."""
+
+    @given(_off_grid_boxes())
+    @example(((1,), 4))
+    @example(((1, 2, 3), 3))
+    @example(((-40, 0, 7), 4))
+    def test_blocks_are_the_maximal_dyadic_cubes(self, box):
+        lo, side_exp = box
+        got = [(e, c) for e, spans in norms._cube_blocks(lo, side_exp) for c in product(*spans)]
+        want = _maximal_cubes_oracle(lo, side_exp)
+        assert len(set(got)) == len(got) and sorted(got) == want
+        # Every side from half the box's down to the largest power of two
+        # dividing the corner holds a cube, as the early rejection assumes.
+        finest = min((c & -c).bit_length() - 1 for c in lo if c)
+        sides = {e for e, _ in want}
+        assert sides == set(range(finest, side_exp))
+        # The bound counts exactly cubes times sides, without a corner.
+        layers = [[(lo, side_exp, 1.0)]]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(norms, "MAX_WALK", len(want) * len(sides))
+            norms._check_walk(layers)
+            patch.setattr(norms, "MAX_WALK", len(want) * len(sides) - 1)
+            with pytest.raises(norms._Unbounded):
+                norms._check_walk(layers)
+
+    def test_seven_bits_off_the_grid_in_dimension_3(self):
+        # The README's example: 112064 cubes at 7 sides, under the bound.
+        f = fld(4.0, (WaveletIndex(1, 0, DyadicRationalVec((7, 7, 7), 7)), 1.0), dim=3)
+        lo, side_exp, _ = norms._square_items(f, 7)[0]
+        assert sum(math.prod(map(len, s)) for _, s in norms._cube_blocks(lo, side_exp)) == 112064
+        assert lp_norm(f) == 1.0
+
+    @pytest.mark.parametrize("norm, name", [
+        (lp_norm, "Lebesgue norm"),
+        (lambda f: cross_square_pair(f, f), "cross-square integral"),
+    ], ids=["lp", "cross"])
+    @pytest.mark.parametrize("dim, denom_exp", [(1, 1100), (2, 40), (3, 8), (3, 10**6)])
+    def test_past_the_bound_is_a_value_error_naming_the_norm(self, norm, name, dim, denom_exp):
+        f = fld(4.0, (WaveletIndex(1, 0, DyadicRationalVec((1,) * dim, denom_exp)), 1.0), dim=dim)
+        with pytest.raises(ValueError) as caught:
+            norm(f)
+        assert str(caught.value) == f"{name} needs more than {norms.MAX_WALK} cubes times sides"
 
 
 class TestUnderflow:

@@ -7,7 +7,7 @@ import pytest
 
 import waveprof
 from waveprof import cli, dyadic, extract, field, norms, synth
-from waveprof.dyadic import DyadicAffine, compose, invert
+from waveprof.dyadic import compose, invert
 from waveprof.extract import ExtractConfig, LpInput, extract_profiles, remainder
 from waveprof.field import CoeffField, transform
 from waveprof.norms import lp_norm, sup_amplitude
@@ -20,7 +20,7 @@ from waveprof.synth import (
     generate,
     validate_spec,
 )
-from conftest import lattice_index
+from conftest import lattice_frame, lattice_index
 
 
 def unit_profile(amp=1.0, dim=1):
@@ -55,7 +55,7 @@ class TestParamLaw:
 
     def test_evaluation(self):
         law = ParamLaw("mixed", 1, (2,), velocity=(3,), scale_step=-1)
-        assert law.params(4) == (-3, (14,))
+        assert law.params(4) == lattice_frame(-3, 14)
 
 
 class TestValidation:
@@ -140,7 +140,7 @@ class TestGenerate:
         for n, f in zip(truth.retained, fields):
             planted = set()
             for g in truth.groups:
-                moved = transform(g.profile, g.anchor_affine(n))
+                moved = transform(g.profile, g.anchor_params[n])
                 planted |= set(moved.entries)
             extra = set(f.entries) - planted
             assert len(extra) == 3
@@ -329,15 +329,14 @@ class TestAlignFrames:
 
     def test_recovers_through_frame_change(self):
         _, truth = generate(simple_spec())
-        sigma = DyadicAffine.from_lattice(1, (3,))
+        sigma = lattice_frame(1, 3)
         moved = []
         for group in truth.groups:
             profile = transform(group.profile, invert(sigma))
             anchors = {}
-            for n, (j, k) in group.anchor_params.items():
-                reframed = compose(DyadicAffine.from_lattice(j, k), sigma)
-                assert reframed.shift.is_integral
-                anchors[n] = (reframed.scale, reframed.shift.numerators)
+            for n, anchor in group.anchor_params.items():
+                anchors[n] = compose(anchor, sigma)
+                assert anchors[n].shift.is_integral
             moved.append(dataclasses.replace(group, anchor_params=anchors, profile=profile))
         shifted = dataclasses.replace(truth, groups=tuple(moved))
         report = align_frames(shifted, truth)
