@@ -201,12 +201,20 @@ def act_on_index(tau: DyadicAffine, index: WaveletIndex) -> WaveletIndex:
     Satisfies act_on_index(compose(t1, t2), idx) ==
     act_on_index(t1, act_on_index(t2, idx)).
     """
-    if tau.dim != index.dim:
+    offset, shift, scale = tau.shift, index.shift, index.scale
+    if len(offset.numerators) != len(shift.numerators):
         raise ValueError("dimension mismatch")
+    # One sum of 2**scale * offset and shift over their common denominator
+    # 2**exp, normalised once; for integral shifts at a scale >= 0 exp is 0
+    # and nothing is normalised.
+    offset_exp = offset.denom_exp - scale
+    exp = max(offset_exp, shift.denom_exp, 0)
+    up, shift_up = exp - offset_exp, exp - shift.denom_exp
+    nums = tuple((a << up) + (b << shift_up) for a, b in zip(offset.numerators, shift.numerators))
+    if exp:
+        nums, exp = _normalize(nums, exp)
     return WaveletIndex._unchecked(
-        index.gen,
-        tau.scale + index.scale,
-        tau.shift.scaled_by_pow2(index.scale) + index.shift,
+        index.gen, tau.scale + scale, DyadicRationalVec._unchecked(nums, exp)
     )
 
 

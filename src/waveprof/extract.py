@@ -29,7 +29,7 @@ from .dyadic import (
     relative_map,
 )
 from .field import CoeffField, combine, rank, transform
-from .norms import BesovParams, _lp_of, besov_norm, cross_square_pair, lp_norm
+from .norms import BesovParams, _cross_table, _lp_of, besov_norm, cross_square_pair, lp_norm
 
 STABILITY_TOL = 1e-9
 
@@ -472,8 +472,8 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
             )
 
     # Each profile is transformed once per index; the placed profiles feed
-    # both the remainders and the cross table, which takes both orders of a
-    # pair from one integral.
+    # both the remainders and the cross table, which builds each placed
+    # profile's boxes once and takes both orders of a pair from one integral.
     groups = len(dec.groups)
     levels = range(groups + 1)
     rem_norms: list[list[float]] = [[] for _ in levels]
@@ -508,9 +508,10 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
             if pos >= tail_start:
                 excess[level].append(input_space_norm(current, space) - input_norms[pos])
         if dec.p != 2.0:
+            values = iter(_cross_table(placed))
             for i in range(groups):
                 for k in range(i + 1, groups):
-                    table[i][k][pos], table[k][i][pos] = cross_square_pair(placed[i], placed[k])
+                    table[i][k][pos], table[k][i][pos] = next(values), next(values)
     remainder_reports = [
         RemainderReport(level, tuple(norms), max(norms[tail_start:], default=0.0))
         for level, norms in enumerate(rem_norms)

@@ -319,13 +319,25 @@ def report_from_obj(
     return config, decomposition_from_obj(_get(obj, "decomposition", "report", dict), inputs)
 
 
-def _report_dict(pairs: list[tuple[str, Any]]) -> dict:
-    return {("pass" if key == "passes" else key): value for key, value in pairs}
+def _report_obj(value: Any) -> Any:
+    """A report value as JSON objects: a dataclass becomes a dict, a tuple a list.
+
+    Numbers and flags are taken as they are; nothing is copied.  The floats
+    of the value tuples, the bulk of a report, skip the call.
+    """
+    if type(value) is tuple:
+        return [v if type(v) is float else _report_obj(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {
+            ("pass" if f.name == "passes" else f.name): _report_obj(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    return value
 
 
 def verification_to_obj(report: VerificationReport) -> dict:
     """The report's fields as nested objects; ``passes`` flags are emitted as ``pass``."""
-    return dataclasses.asdict(report, dict_factory=_report_dict)
+    return _report_obj(report)
 
 
 def report_to_obj(

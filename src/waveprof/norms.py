@@ -24,9 +24,9 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .field import CoeffField, order_key
 
@@ -34,8 +34,9 @@ _REL_SLACK = 1e-12
 _TINY = sys.float_info.min
 _LEAST = math.ldexp(1.0, -1074)
 
-# Most cubes times distinct sides one nested-cube walk may cost (see README,
-# "Cost model"); a box k bits off the grid splits into about 2d * 2**((d-1)*k).
+# Most cubes times distinct sides one nested-cube walk may cost, and most
+# 64-bit words its box corners may take (see README, "Cost model"); a box k
+# bits off the grid splits into about 2d * 2**((d-1)*k).
 MAX_WALK = 1 << 20
 
 
@@ -64,7 +65,10 @@ class _Underflow(ArithmeticError):
 
 
 class _Unbounded(ArithmeticError):
-    """The nested-cube walk would cost more than ``MAX_WALK``."""
+    """The nested-cube walk would cost more than ``MAX_WALK`` of what ``str()`` names."""
+
+    def __init__(self, what: str = "cubes times sides") -> None:
+        super().__init__(what)
 
 
 def _finite(name: str):
@@ -86,8 +90,8 @@ def _finite(name: str):
                 raise ValueError(message) from None
             except _Underflow:
                 raise ValueError(f"{name} underflows the float range") from None
-            except _Unbounded:
-                raise ValueError(f"{name} needs more than {MAX_WALK} cubes times sides") from None
+            except _Unbounded as unbounded:
+                raise ValueError(f"{name} needs more than {MAX_WALK} {unbounded}") from None
             values = result if isinstance(result, tuple) else (result,)
             if not all(map(math.isfinite, values)):
                 raise ValueError(message)
@@ -167,11 +171,19 @@ _Item = tuple[tuple[int, ...], int, float]
 def _square_items(field: CoeffField, resolution: int) -> list[_Item]:
     """The boxes of ``field`` at ``resolution``, in ``order_key`` order of their indices.
 
-    The scale factors are checked first, so that a scale out of range fails
-    before the corner of a far finer or coarser box is built.
+    The scale factors are checked first, and then the words the corners will
+    take, so that a scale out of range or a vast scale gap fails before the
+    corner of a far finer or coarser box is built.  A corner coordinate
+    n / 2**k at scale j is ``n << (resolution - j - k)``; it and its box's far
+    edge are about ``resolution - j + max(n.bit_length() - k, 0)`` bits wide.
     """
     two_d_over_p = 2.0 * field.dim / field.p
     factor = {j: _normal(2.0 ** (two_d_over_p * j)) for j in {i.scale for i in field.entries}}
+    _check_corners(
+        resolution - index.scale + max(abs(n).bit_length() - index.shift.denom_exp, 0)
+        for index in field.entries
+        for n in index.shift.numerators
+    )
     items = []
     for index in sorted(field.entries, key=order_key(field)):
         j, shift, amp = index.scale, index.shift, field.entries[index]
@@ -181,12 +193,20 @@ def _square_items(field: CoeffField, resolution: int) -> list[_Item]:
     return items
 
 
-def _finest_resolution(fields: Sequence[CoeffField]) -> int:
-    return max(
-        index.scale + index.shift.denom_exp
-        for f in fields
-        for index in f.entries
-    )
+def _check_corners(widths: Iterable[int]) -> None:
+    """Raise ``_Unbounded`` when corners of these bit widths take over ``MAX_WALK`` 64-bit words.
+
+    A coordinate ``w`` bits wide counts ``w // 64 + 1`` words, so the scale
+    gap, which sets the width, is bounded before any corner exists.
+    """
+    if sum(w // 64 + 1 for w in widths) > MAX_WALK:
+        raise _Unbounded("64-bit words of box corners")
+
+
+def _own_boxes(field: CoeffField) -> tuple[int, list[_Item]]:
+    """The finest resolution of a nonempty ``field`` and its boxes there."""
+    resolution = max(index.scale + index.shift.denom_exp for index in field.entries)
+    return resolution, _square_items(field, resolution)
 
 
 def _cell_integral(
@@ -367,6 +387,27 @@ def _bounding_box(items: list[_Item]) -> list[tuple[int, int]]:
     ]
 
 
+def _apart(coarse: list[tuple[int, int]], fine: list[tuple[int, int]], up: int) -> bool:
+    """Whether two bounding boxes are disjoint on some axis, ``fine`` being ``up`` bits finer.
+
+    Rounding ``fine`` outward to the coarser resolution decides exactly what
+    shifting ``coarse`` up to the finer one would, without an integer as wide
+    as the gap between them.
+    """
+    return any(
+        c_hi <= f_lo >> up or -(-f_hi >> up) <= c_lo
+        for (c_lo, c_hi), (f_lo, f_hi) in zip(coarse, fine)
+    )
+
+
+def _finer(items: list[_Item], up: int) -> list[_Item]:
+    """``items`` at a resolution ``up`` bits finer, their corners' words checked first."""
+    if not up:
+        return items
+    _check_corners(max(abs(c).bit_length(), e) + up for lo, e, _ in items for c in lo)
+    return [(tuple(c << up for c in lo), e + up, weight) for lo, e, weight in items]
+
+
 @_finite("Lebesgue norm")
 def lp_norm(field: CoeffField) -> float:
     """Lebesgue-equivalent norm: the L^{p/2} mass of the square function, rooted.
@@ -378,8 +419,7 @@ def lp_norm(field: CoeffField) -> float:
     if not field.entries:
         return 0.0
     half_p = field.p / 2.0
-    resolution = _finest_resolution([field])
-    items = _square_items(field, resolution)
+    resolution, items = _own_boxes(field)
     # A power that underflowed to zero stands for a value in (0, 2**-1075]:
     # the least subnormal marks it, so that the walk counts its slack.
     (total,) = _cell_integral(
@@ -389,7 +429,6 @@ def lp_norm(field: CoeffField) -> float:
     return _normal(total) ** (1.0 / field.p)
 
 
-@_finite("cross-square integral")
 def cross_square_pair(f: CoeffField, g: CoeffField) -> tuple[float, float]:
     """Both cross-square integrals of a pair, from one walk over their cubes.
 
@@ -400,19 +439,29 @@ def cross_square_pair(f: CoeffField, g: CoeffField) -> tuple[float, float]:
     some axis no point carries both, so both integrals are 0.0 and no walk
     runs.
     """
-    if f.dim != g.dim or f.p != g.p:
+    return _cross_table([f, g])
+
+
+@_finite("cross-square integral")
+def _cross_table(fields: Sequence[CoeffField]) -> tuple[float, ...]:
+    """:func:`cross_square_pair` of each pair i < k of ``fields``, flat, pairs in that order.
+
+    Each field's boxes and their bounding box are built once, at the field's
+    own finest resolution, when the first pair that needs them is reached;
+    so the first check to fail is the one a call per pair meets first.  A
+    pair whose bounding boxes are disjoint gives (0.0, 0.0) with nothing more
+    built.  Otherwise the coarser field's boxes are moved to the pair's
+    resolution R, which lists exactly the boxes ``_square_items(f, R)`` lists,
+    and one walk gives both orders.
+    """
+    if len(fields) < 2:
+        return ()
+    dim, p = fields[0].dim, fields[0].p
+    if any(f.dim != dim or f.p != p for f in fields):
         raise ValueError("fields must share dimension and reference exponent")
-    if f.p <= 2.0:
+    if p <= 2.0:
         raise ValueError("cross-square integral requires p > 2")
-    if not f.entries or not g.entries:
-        return (0.0, 0.0)
-    resolution = _finest_resolution([f, g])
-    f_items = _square_items(f, resolution)
-    g_items = _square_items(g, resolution)
-    for (f_lo, f_hi), (g_lo, g_hi) in zip(_bounding_box(f_items), _bounding_box(g_items)):
-        if f_hi <= g_lo or g_hi <= f_lo:
-            return (0.0, 0.0)
-    exponent = f.p / 2.0 - 1.0
+    exponent = p / 2.0 - 1.0
 
     def evaluate(acc: list[float]) -> tuple[float, float]:
         sf, sg = acc
@@ -426,7 +475,28 @@ def cross_square_pair(f: CoeffField, g: CoeffField) -> tuple[float, float]:
             raise _Underflow
         return (sf * sg_power or _LEAST, sg * sf_power or _LEAST)
 
-    return _cell_integral([f_items, g_items], f.dim, resolution, evaluate, 2)
+    boxes: list = [None] * len(fields)  # (resolution, items, bounding box) once built
+
+    def built(i: int) -> tuple[int, list[_Item], list[tuple[int, int]]]:
+        if boxes[i] is None:
+            resolution, items = _own_boxes(fields[i])
+            boxes[i] = (resolution, items, _bounding_box(items))
+        return boxes[i]
+
+    table: list[float] = []
+    for i, k in combinations(range(len(fields)), 2):
+        if not fields[i].entries or not fields[k].entries:
+            table += (0.0, 0.0)
+            continue
+        (f_res, f_items, f_box), (g_res, g_items, g_box) = built(i), built(k)
+        resolution = max(f_res, g_res)
+        f_up, g_up = resolution - f_res, resolution - g_res
+        if _apart(f_box, g_box, f_up) if f_up else _apart(g_box, f_box, g_up):
+            table += (0.0, 0.0)
+            continue
+        layers = [_finer(f_items, f_up), _finer(g_items, g_up)]
+        table += _cell_integral(layers, dim, resolution, evaluate, 2)
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ indices, and returns both the sequence and the decomposition an extractor is
 expected to recover.  Specs whose parameter laws do not separate, whose
 transformed indices leave the integer lattice, whose planted supports collide
 anywhere in the generated range, that would generate more than
-``MAX_GENERATED_ENTRIES`` coefficients, or whose noise would need draws from
-more than 2**64 values are rejected before any file is written.
+``MAX_GENERATED_ENTRIES`` coefficients or check more than ``MAX_SPEC_PAIRS``
+law gaps, or whose noise would need draws from more than 2**64 values are
+rejected before any file is written.
 
 Randomness comes from an explicit SplitMix64 stream so corpora are
 reproducible from the seed alone, independent of the host platform.
@@ -127,6 +128,11 @@ class SyntheticSpec:
 # noise count keeps validate_spec and generate looping without end.
 MAX_GENERATED_ENTRIES = 1 << 20
 
+# Most parameter-law gaps the separation check may compute, n_count times the
+# number of profile pairs; a two-profile spec within MAX_GENERATED_ENTRIES
+# needs at most this many.
+MAX_SPEC_PAIRS = MAX_GENERATED_ENTRIES // 2
+
 
 def _check_spec(spec: SyntheticSpec) -> None:
     """The checks of :func:`validate_spec` that place no profile: shape, size and laws."""
@@ -154,6 +160,9 @@ def _check_spec(spec: SyntheticSpec) -> None:
         )
     if len(spec.profiles) > 1 and spec.n_count < 2:
         raise ValueError("divergence of several laws needs n_count >= 2")
+    pairs = len(spec.profiles) * (len(spec.profiles) - 1) // 2
+    if spec.n_count * pairs > MAX_SPEC_PAIRS:
+        raise ValueError(f"n_count times profile pairs exceeds {MAX_SPEC_PAIRS}")
     last: dict[tuple[int, int], float] = {}  # each pair's gap at the previous n
     for n in range(1, spec.n_count + 1):
         frames = [planted.law.params(n) for planted in spec.profiles]
@@ -167,14 +176,16 @@ def _check_spec(spec: SyntheticSpec) -> None:
 def _placed(spec: SyntheticSpec, n: int) -> list[CoeffField]:
     """Every planted profile moved to index ``n``; off-lattice or colliding ones are rejected."""
     placed: list[CoeffField] = []
+    taken: set[WaveletIndex] = set()  # every index placed so far
     for position, planted in enumerate(spec.profiles):
         field = transform(planted.field, planted.law.params(n))
         if not field.is_lattice:
             raise ValueError(f"profile {position} leaves the lattice at n={n}")
-        if any(not earlier.entries.keys().isdisjoint(field.entries) for earlier in placed):
+        if not taken.isdisjoint(field.entries):
             raise ValueError(
                 f"planted supports collide at n={n}; recovery would be ambiguous"
             )
+        taken.update(field.entries)
         placed.append(field)
     return placed
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from collections.abc import Mapping
@@ -284,3 +285,14 @@ def emit_oracle(obj) -> str:
         )
         return "{" + ",".join(parts) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def verification_obj_oracle(report) -> dict:
+    """A verification report as nested objects by ``dataclasses.asdict``, ``passes`` as ``pass``.
+
+    ``asdict`` deep-copies every value and keeps tuples as tuples; the
+    library walks the report directly and writes lists.
+    """
+    return dataclasses.asdict(
+        report, dict_factory=lambda pairs: {("pass" if k == "passes" else k): v for k, v in pairs}
+    )

@@ -158,6 +158,15 @@ class TestGenerate:
         assert name in done.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_too_many_profile_pairs_exit_2(self, tmp_path, capsys):
+        profile = SPEC_OBJ["profiles"][0]
+        profiles = [dict(profile, law=dict(profile["law"], k0=[k])) for k in range(1000)]
+        path = tmp_path / "crowded.json"
+        path.write_text(json.dumps(dict(SPEC_OBJ, n_count=2, profiles=profiles)))
+        assert main(["generate", str(path), str(tmp_path / "out")]) == 2
+        assert "n_count times profile pairs exceeds" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_noise_at_a_wide_scale_exits_2(self, tmp_path):
         # The noise shifts of a profile planted at scale 70 would be drawn
         # from a range wider than 2**64; generate once looped on it forever.
@@ -329,6 +338,22 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", str(report), str(corpus_dir)]) == 2
         assert f"error: {report}: report lacks the required key 'config'" in capsys.readouterr().err
+
+    def test_a_cross_weight_that_underflows_exits_2(self, corpus, capsys):
+        # Group 1 placed at scale -2100 at the first index: its square-function
+        # weight 2**(2/4 * -2100) is below the float range.  Only the cross
+        # table measures it there, since that index is outside the tail window.
+        tmp, corpus_dir, config_path = corpus
+        report = tmp / "report.json"
+        assert main(["decompose", str(corpus_dir), "--config", str(config_path), "--out", str(report)]) == 0
+        stored = json.loads(report.read_text())
+        anchor = stored["decomposition"]["groups"][1]["anchor"]
+        assert anchor[0][0] == stored["decomposition"]["retained"][0]
+        anchor[0] = [anchor[0][0], -2100, [0]]
+        report.write_text(json.dumps(stored))
+        capsys.readouterr()
+        assert main(["verify", str(report), str(corpus_dir)]) == 2
+        assert "cross-square integral underflows the float range" in capsys.readouterr().err
 
     def test_non_list_group_profile_exits_2(self, corpus, capsys):
         tmp, corpus_dir, config_path = corpus
@@ -609,6 +634,19 @@ class TestNorms:
             assert json.loads(done.stdout)["lp"] == 1.0
         else:
             assert "Lebesgue norm needs more than 1048576 cubes times sides" in done.stderr
+
+    def test_a_vast_scale_gap_exits_2(self, tmp_path, capsys):
+        # The corner of the coarse cube would be a 10**8-bit integer.
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps({
+            "dimension": 1, "p": 1e300,
+            "entries": [
+                {"i": 1, "j": 0, "k": [1], "amp": 1.0},
+                {"i": 1, "j": 10**8, "k": [0], "amp": 1.0},
+            ],
+        }))
+        assert main(["norms", str(path)]) == 2
+        assert "Lebesgue norm needs more than 1048576 64-bit words of box corners" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "scale, p, amp",

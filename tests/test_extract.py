@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from waveprof.dyadic import DyadicAffine, DyadicRationalVec, WaveletIndex
 import numpy as np
@@ -25,7 +28,7 @@ from waveprof.extract import (
 )
 from waveprof.io_json import decomposition_from_obj, decomposition_to_obj
 from waveprof.field import CoeffField, combine, transform
-from waveprof.norms import coeff_lp, interpolation_check, lp_norm, sup_amplitude
+from waveprof.norms import coeff_lp, cross_square_pair, interpolation_check, lp_norm, sup_amplitude
 from waveprof.synth import ParamLaw, PlantedProfile, SyntheticSpec, generate
 from conftest import lattice_frame, lattice_index, random_field
 
@@ -753,6 +756,36 @@ class TestIncrementalRemainders:
             remainder(dec, 2, 1)
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             verify(dec, config)
+
+
+class TestCrossTableOracle:
+    """verify builds each placed profile's boxes once per index; one pair at a time is the oracle."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]), st.sampled_from([3.0, 4.0, 6.0]))
+    def test_each_entry_is_cross_square_pair_bit_for_bit(self, seed, dim, p):
+        rng = np.random.default_rng(seed)
+        retained = (1, 2, 3)
+        groups = []
+        for _ in range(int(rng.integers(2, 5))):
+            # Up to four entries at nested scales, with shifts up to two bits
+            # off the lattice; anchors near each other overlap, far ones are
+            # disjoint, and a coarse anchor puts a profile at other resolutions.
+            profile = random_field(rng, dim, p, max_entries=4, scale_lo=-2, scale_hi=2,
+                                   shift_bound=2, denom_exp_max=2)
+            anchors = {
+                n: lattice_frame(int(rng.integers(-2, 3)), *(int(rng.integers(-6, 7)) for _ in range(dim)))
+                for n in retained
+            }
+            groups.append(ProfileGroup(anchors, (), profile))
+        inputs = {n: random_field(rng, dim, p, max_entries=3) for n in retained}
+        dec = Decomposition(dim, p, inputs, tuple(groups), retained, ())
+        report = verify(dec, lp_config(p, tail_window=2))
+        table = {(r.first, r.second): r.values for r in report.cross}
+        for i, k in permutations(range(len(groups)), 2):
+            for pos, n in enumerate(retained):
+                f = transform(groups[i].profile, groups[i].anchor_params[n])
+                g = transform(groups[k].profile, groups[k].anchor_params[n])
+                assert table[i, k][pos].hex() == cross_square_pair(f, g)[0].hex()
 
 
 def _cross_shaped_corpus():

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import emit_oracle
+from conftest import emit_oracle, verification_obj_oracle
 
 from waveprof.dyadic import DyadicAffine, DyadicRationalVec
-from waveprof.extract import extract_profiles
+from waveprof.extract import extract_profiles, verify
 from waveprof.io_json import (
     config_from_obj,
     decomposition_from_obj,
@@ -23,6 +23,7 @@ from waveprof.io_json import (
     field_from_obj,
     field_to_obj,
     synthetic_spec_from_obj,
+    verification_to_obj,
 )
 from waveprof.synth import generate
 
@@ -194,3 +195,18 @@ def test_anchor_rows_round_trip_as_frames():
         n: DyadicAffine(0, DyadicRationalVec((8 * n,))) for n in dec.retained
     }
     assert dumps_canonical(decomposition_to_obj(dec)) == dumps_canonical(obj)
+
+
+@pytest.mark.parametrize(
+    "space, remainder",
+    [(CONFIG_OBJ["space"], CONFIG_OBJ["remainder"]), ({"kind": "lp", "p": 4.0}, [8.0, 8.0])],
+    ids=["besov", "lp"],
+)
+def test_verification_object_equals_the_asdict_oracle(space, remainder):
+    config = config_from_obj(dict(CONFIG_OBJ, space=space, remainder=remainder))
+    report = verify(_DECOMPOSITION, config)
+    got = verification_to_obj(report)
+    want = verification_obj_oracle(report)
+    assert dumps_canonical(got) == dumps_canonical(want)
+    # The same objects, with every tuple of the oracle read back as a list.
+    assert got == json.loads(json.dumps(want))

@@ -569,6 +569,55 @@ class TestDyadicCubes:
         assert str(caught.value) == f"{name} needs more than {norms.MAX_WALK} cubes times sides"
 
 
+def _traced_peak(fn):
+    """``fn()``, or the message of the ValueError it raised, and the tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        try:
+            result = fn()
+        except ValueError as error:
+            result = str(error)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCornerWords:
+    """Box corners are integers as wide as the scale gap; their words are counted first."""
+
+    WORDS = f"needs more than {norms.MAX_WALK} 64-bit words of box corners"
+
+    @staticmethod
+    def _gap(gap):
+        # At p = 1e300 every scale factor is about 1, so only the width is at stake.
+        return fld(1e300, (lattice_index(1, 0, 1), 1.0), (lattice_index(1, gap, 0), 1.0))
+
+    def test_a_scale_gap_past_the_bound_fails_before_any_corner(self):
+        # The corner of [1, 2) at resolution 10**8 is a 10**8-bit integer:
+        # the norm once read 1.0 after a 38.1 MiB peak.
+        result, peak = _traced_peak(lambda: lp_norm(self._gap(10**8)))
+        assert result == f"Lebesgue norm {self.WORDS}"
+        assert peak < 1 << 20
+
+    def test_a_scale_gap_within_the_bound_computes(self):
+        # 10**7 bits are 156250 words, under the bound.
+        assert lp_norm(self._gap(10**7)) == 1.0
+
+    def test_a_pair_far_apart_in_scale_is_bounded_at_its_resolution(self):
+        # Each field alone is one box at its own resolution; the pair's walk
+        # would move the coarse one 10**8 bits finer.
+        coarse = fld(1e300, (lattice_index(1, 0, 0), 1.0))
+        nested = fld(1e300, (lattice_index(1, 10**8, 0), 1.0))
+        result, peak = _traced_peak(lambda: cross_square_pair(coarse, nested))
+        assert result == f"cross-square integral {self.WORDS}"
+        assert peak < 1 << 20
+        # Disjoint bounding boxes are compared without moving either.
+        apart = fld(1e300, (lattice_index(1, 10**8, -1), 1.0))
+        result, peak = _traced_peak(lambda: cross_square_pair(coarse, apart))
+        assert _bits(result) == _bits((0.0, 0.0))
+        assert peak < 1 << 20
+
+
 class TestUnderflow:
     @pytest.mark.parametrize(
         "norm, name, entry",

@@ -94,6 +94,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_spec(simple_spec(noise_amp=1e-3))
 
+    def test_too_many_profile_pairs_are_rejected_before_any_gap(self, monkeypatch):
+        # 1000 one-entry profiles at n_count 2 make 999000 law gaps, about 10 s
+        # of checks.  The laws never separate, so a gap computed would fail.
+        def no_gap(*args):
+            raise AssertionError("a law gap was computed")
+
+        monkeypatch.setattr(synth, "orthogonality_gap", no_gap)
+        profiles = tuple(
+            PlantedProfile(unit_profile(), ParamLaw("constant", 0, (k,))) for k in range(1000)
+        )
+        spec = simple_spec(profiles=profiles, n_count=2)
+        for check in (validate_spec, generate):
+            with pytest.raises(ValueError) as caught:
+                check(spec)
+            assert str(caught.value) == f"n_count times profile pairs exceeds {synth.MAX_SPEC_PAIRS}"
+
 
 class TestGenerate:
     def test_constant_profile_gives_identical_fields(self):
