@@ -4,12 +4,19 @@ Everything here is integer-valued or dyadic-rational and therefore exact:
 scale/translation maps of the form ``x -> 2**j * x - k`` compose, invert and
 act on wavelet indices without any floating point.  Floats appear only in
 derived magnitudes (Euclidean norms).
+
+The three value types are named tuples: hashing, equality and field access
+run in C, and the hash is that of the field tuple.  The public constructors
+of the two index types check and normalise; ``_make`` takes fields the
+caller already knows to be valid and in lowest terms, such as the results of
+exact arithmetic on valid values.  None of the types is ordered: indices are
+sorted by :func:`waveprof.field.order_key` only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
 def _normalize(numerators: tuple[int, ...], denom_exp: int) -> tuple[tuple[int, ...], int]:
@@ -27,44 +34,37 @@ def _normalize(numerators: tuple[int, ...], denom_exp: int) -> tuple[tuple[int, 
     return numerators, denom_exp
 
 
-# The index classes are built by the hundred thousand and hashed on every
-# dict operation, so they carry slots and a hash computed once, equal to the
-# hash the generated dataclass method would give.  Public constructors check
-# and normalise; ``_unchecked`` builds a value the caller already knows to be
-# valid and in lowest terms, such as the result of exact arithmetic on valid
-# values.
+def _ldexp(c: int, exp: int) -> float:
+    """``c * 2**exp`` with the bits of ``math.ldexp(float(c), exp)``, for a ``c`` of any width.
+
+    A numerator too wide for a float is first divided by a power of two of
+    its own width: that quotient is rounded as ``float(c)`` is, one power of
+    two lower.  Raises ``OverflowError`` when the value is beyond the float
+    range.
+    """
+    excess = c.bit_length() - 1000
+    if excess > 0:
+        return math.ldexp(c / (1 << excess), exp + excess)
+    return math.ldexp(c, exp)
 
 
-@dataclass(frozen=True, slots=True)
-class DyadicRationalVec:
+def _unordered(self, other):
+    return NotImplemented
+
+
+class DyadicRationalVec(namedtuple("DyadicRationalVec", "numerators denom_exp")):
     """Vector whose components are ``numerators / 2**denom_exp``, in lowest terms."""
 
-    numerators: tuple[int, ...]
-    denom_exp: int = 0
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
-    def __post_init__(self) -> None:
-        nums = tuple(int(c) for c in self.numerators)
+    def __new__(cls, numerators: tuple[int, ...], denom_exp: int = 0) -> DyadicRationalVec:
+        nums = tuple(int(c) for c in numerators)
         if len(nums) < 1:
             raise ValueError("dimension must be at least 1")
-        if self.denom_exp < 0:
+        if denom_exp < 0:
             raise ValueError("denom_exp must be nonnegative")
-        nums, exp = _normalize(nums, int(self.denom_exp))
-        object.__setattr__(self, "numerators", nums)
-        object.__setattr__(self, "denom_exp", exp)
-        object.__setattr__(self, "_hash", hash((nums, exp)))
-
-    @classmethod
-    def _unchecked(cls, numerators: tuple[int, ...], denom_exp: int) -> DyadicRationalVec:
-        """The vector of int ``numerators`` already in lowest terms, taken as given."""
-        vec = object.__new__(cls)
-        object.__setattr__(vec, "numerators", numerators)
-        object.__setattr__(vec, "denom_exp", denom_exp)
-        object.__setattr__(vec, "_hash", hash((numerators, denom_exp)))
-        return vec
-
-    def __hash__(self) -> int:
-        return self._hash
+        return tuple.__new__(cls, _normalize(nums, int(denom_exp)))
 
     @classmethod
     def zero(cls, dim: int) -> DyadicRationalVec:
@@ -79,7 +79,7 @@ class DyadicRationalVec:
         return self.denom_exp == 0
 
     def as_floats(self) -> tuple[float, ...]:
-        return tuple(math.ldexp(c, -self.denom_exp) for c in self.numerators)
+        return tuple(_ldexp(c, -self.denom_exp) for c in self.numerators)
 
     def euclidean_norm(self) -> float:
         return math.hypot(*self.as_floats())
@@ -90,7 +90,7 @@ class DyadicRationalVec:
             nums, exp = tuple(c << exponent for c in self.numerators), self.denom_exp
         else:
             nums, exp = self.numerators, self.denom_exp - exponent
-        return DyadicRationalVec._unchecked(*_normalize(nums, exp))
+        return DyadicRationalVec._make(_normalize(nums, exp))
 
     def __add__(self, other: DyadicRationalVec) -> DyadicRationalVec:
         if len(self.numerators) != len(other.numerators):
@@ -101,46 +101,30 @@ class DyadicRationalVec:
             (a << (exp - a_exp)) + (b << (exp - b_exp))
             for a, b in zip(self.numerators, other.numerators)
         )
-        return DyadicRationalVec._unchecked(*_normalize(nums, exp))
+        return DyadicRationalVec._make(_normalize(nums, exp))
 
     def __neg__(self) -> DyadicRationalVec:
-        return DyadicRationalVec._unchecked(tuple(-c for c in self.numerators), self.denom_exp)
+        return DyadicRationalVec._make((tuple(-c for c in self.numerators), self.denom_exp))
 
     def __sub__(self, other: DyadicRationalVec) -> DyadicRationalVec:
         return self + (-other)
 
 
-@dataclass(frozen=True, slots=True)
-class WaveletIndex:
+class WaveletIndex(namedtuple("WaveletIndex", "gen scale shift")):
     """A basis-coefficient address (generator, scale, shift).
 
     Lattice indices carry integral shifts; profile-frame indices may carry
     dyadic-rational shifts.
     """
 
-    gen: int
-    scale: int
-    shift: DyadicRationalVec
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
-    def __post_init__(self) -> None:
-        top = (1 << self.shift.dim) - 1
-        if not 1 <= self.gen <= top:
-            raise ValueError(f"generator {self.gen} out of range [1, {top}]")
-        object.__setattr__(self, "_hash", hash((self.gen, self.scale, self.shift)))
-
-    @classmethod
-    def _unchecked(cls, gen: int, scale: int, shift: DyadicRationalVec) -> WaveletIndex:
-        """The index of a generator already checked against ``shift``'s dimension."""
-        index = object.__new__(cls)
-        object.__setattr__(index, "gen", gen)
-        object.__setattr__(index, "scale", scale)
-        object.__setattr__(index, "shift", shift)
-        object.__setattr__(index, "_hash", hash((gen, scale, shift)))
-        return index
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, gen: int, scale: int, shift: DyadicRationalVec) -> WaveletIndex:
+        top = (1 << shift.dim) - 1
+        if not 1 <= gen <= top:
+            raise ValueError(f"generator {gen} out of range [1, {top}]")
+        return tuple.__new__(cls, (gen, scale, shift))
 
     @property
     def dim(self) -> int:
@@ -151,12 +135,11 @@ class WaveletIndex:
         return self.shift.is_integral
 
 
-@dataclass(frozen=True)
-class DyadicAffine:
+class DyadicAffine(namedtuple("DyadicAffine", "scale shift")):
     """The map tau(x) = 2**scale * x - shift on R^d."""
 
-    scale: int
-    shift: DyadicRationalVec
+    __slots__ = ()
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     @classmethod
     def identity(cls, dim: int) -> DyadicAffine:
@@ -165,10 +148,6 @@ class DyadicAffine:
     @property
     def dim(self) -> int:
         return self.shift.dim
-
-    @property
-    def is_identity(self) -> bool:
-        return self.scale == 0 and all(c == 0 for c in self.shift.numerators)
 
 
 def compose(inner: DyadicAffine, outer: DyadicAffine) -> DyadicAffine:
@@ -190,9 +169,18 @@ def magnitude(tau: DyadicAffine) -> float:
     """Size of a map: |scale| plus the Euclidean length of its fixed-frame offset.
 
     Zero exactly for the identity; diverges along a sequence of maps iff the
-    scale exponents or the rescaled offsets do.
+    scale exponents or the rescaled offsets do.  The offset, the shift times
+    ``2**-scale``, is never built as an integer; a size beyond the float
+    range raises ``ValueError``.
     """
-    return abs(tau.scale) + tau.shift.scaled_by_pow2(-tau.scale).euclidean_norm()
+    exp = -tau.scale - tau.shift.denom_exp
+    try:
+        size = abs(tau.scale) + math.hypot(*[_ldexp(c, exp) for c in tau.shift.numerators])
+    except OverflowError:
+        size = math.inf
+    if size == math.inf:
+        raise ValueError("orthogonality gap overflows the float range")
+    return size
 
 
 def act_on_index(tau: DyadicAffine, index: WaveletIndex) -> WaveletIndex:
@@ -213,9 +201,7 @@ def act_on_index(tau: DyadicAffine, index: WaveletIndex) -> WaveletIndex:
     nums = tuple((a << up) + (b << shift_up) for a, b in zip(offset.numerators, shift.numerators))
     if exp:
         nums, exp = _normalize(nums, exp)
-    return WaveletIndex._unchecked(
-        index.gen, tau.scale + scale, DyadicRationalVec._unchecked(nums, exp)
-    )
+    return WaveletIndex._make((index.gen, tau.scale + scale, DyadicRationalVec._make((nums, exp))))
 
 
 def orthogonality_gap(a: DyadicAffine, b: DyadicAffine) -> float:
@@ -243,8 +229,8 @@ def relative_map(anchor: DyadicAffine, target: DyadicAffine) -> DyadicAffine:
         raise ValueError("dimension mismatch")
     delta = target.scale - anchor.scale
     if delta >= 0:
-        shift = DyadicRationalVec._unchecked(tuple(b - (a << delta) for a, b in zip(k0, k1)), 0)
+        shift = DyadicRationalVec._make((tuple(b - (a << delta) for a, b in zip(k0, k1)), 0))
     else:
         nums = tuple((b << -delta) - a for a, b in zip(k0, k1))
-        shift = DyadicRationalVec._unchecked(*_normalize(nums, -delta))
+        shift = DyadicRationalVec._make(_normalize(nums, -delta))
     return DyadicAffine(delta, shift)

@@ -285,7 +285,7 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
                     ] + tail,
                     "relative-map constancy dropped {} indices",
                 )
-                index = WaveletIndex._unchecked(modal_gen, constant.scale, constant.shift)
+                index = WaveletIndex._make((modal_gen, constant.scale, constant.shift))
                 members.append(GroupMember(index, limit_amp, next_rank))
                 break
             gaps = [magnitude(r) for r in tail_rel]
@@ -296,7 +296,7 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
             if not separated:
                 ambiguous = True
         else:
-            origin = WaveletIndex._unchecked(modal_gen, 0, DyadicRationalVec.zero(dim))
+            origin = WaveletIndex._make((modal_gen, 0, DyadicRationalVec.zero(dim)))
             groups.append((params, [GroupMember(origin, limit_amp, next_rank)]))
             if ambiguous:
                 diagnostics.append(

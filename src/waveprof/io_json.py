@@ -43,7 +43,9 @@ def _emit(obj: Any) -> str:
     """``obj`` as canonical JSON, joining each container once.
 
     Strings are written by the encoder ``json.dumps(s, ensure_ascii=False)``
-    applies.
+    applies.  Only an exact list or tuple is a JSON list: a tuple subclass,
+    such as an index of :mod:`waveprof.dyadic`, raises ``TypeError`` like any
+    other unknown type.
     """
     if obj is None:
         return "null"
@@ -55,7 +57,7 @@ def _emit(obj: Any) -> str:
         return str(obj)
     if isinstance(obj, str):
         return _encode_str(obj)
-    if isinstance(obj, (list, tuple)):
+    if type(obj) is list or type(obj) is tuple:
         return "[" + ",".join([_emit(v) for v in obj]) + "]"
     if isinstance(obj, Mapping):
         items = sorted(obj.items())

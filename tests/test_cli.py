@@ -355,6 +355,20 @@ class TestVerify:
         assert main(["verify", str(report), str(corpus_dir)]) == 2
         assert "cross-square integral underflows the float range" in capsys.readouterr().err
 
+    def test_an_orthogonality_gap_beyond_floats_exits_2(self, corpus, capsys):
+        # Group 1 placed at scale -2100 and shift 5 at the first index: the map
+        # from group 0's anchor onto it has an offset of about 5 * 2**2100.
+        tmp, corpus_dir, config_path = corpus
+        report = tmp / "report.json"
+        assert main(["decompose", str(corpus_dir), "--config", str(config_path), "--out", str(report)]) == 0
+        stored = json.loads(report.read_text())
+        anchor = stored["decomposition"]["groups"][1]["anchor"]
+        anchor[0] = [anchor[0][0], -2100, [5]]
+        report.write_text(json.dumps(stored))
+        capsys.readouterr()
+        assert main(["verify", str(report), str(corpus_dir)]) == 2
+        assert "orthogonality gap overflows the float range" in capsys.readouterr().err
+
     def test_non_list_group_profile_exits_2(self, corpus, capsys):
         tmp, corpus_dir, config_path = corpus
         report = tmp / "report.json"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -156,7 +157,44 @@ class TestMagnitude:
     @given(dim_and_affines(1))
     def test_zero_iff_identity(self, taus):
         (tau,) = taus
-        assert (magnitude(tau) == 0.0) == tau.is_identity
+        assert (magnitude(tau) == 0.0) == (tau == DyadicAffine.identity(tau.dim))
+
+    def test_far_apart_frames_keep_their_gap(self):
+        # The relative map of (-2100, 5) onto (0, 3) has scale 2100 and shift
+        # 3 - 5 * 2**2100, a numerator beyond the float range; its rescaled
+        # offset 3 * 2**-2100 - 5 is not.
+        a, b = aff(-2100, 5), aff(0, 3)
+        assert magnitude(relative_map(a, b)) == 2105.0
+        assert orthogonality_gap(a, b) == 2105.0
+
+    def test_gap_beyond_the_float_range_raises(self):
+        # The reverse map's offset is about 5 * 2**2100.
+        a, b = aff(-2100, 5), aff(0, 3)
+        with pytest.raises(ValueError, match="orthogonality gap overflows the float range"):
+            orthogonality_gap(b, a)
+        for tau in (aff(-1100, 1, 1), aff(10**400, 0), aff(0, 1 << 1024)):
+            with pytest.raises(ValueError, match="orthogonality gap overflows the float range"):
+                magnitude(tau)
+
+    @given(st.integers(-2**1030, 2**1030), st.integers(0, 2200))
+    @example(2**1024 - 2**970, 1)
+    @example((1 << 1023) + (1 << 970) + 1, 1074)
+    @example(-(2**1000 + 1), 2100)
+    def test_wide_numerators_keep_the_float_bits(self, c, e):
+        # Where float(c) exists the value has its bits; past it the value is
+        # still correctly rounded, up to the subnormal range.
+        try:
+            want = math.ldexp(float(c), -e)
+        except OverflowError:
+            want = None
+        try:
+            (got,) = DyadicRationalVec((c,), e).as_floats()
+        except OverflowError:
+            assert Fraction(abs(c), 1 << e) >= 2**1024 - 2**970
+            return
+        if want is not None:
+            assert got.hex() == want.hex()
+        assert got == float(Fraction(c, 1 << e)) or abs(got) < 2.0**-1021
 
     def test_diverging_sequences(self):
         # Translation and rescaling both drive the magnitude to infinity.
@@ -247,7 +285,7 @@ class TestRelativeMap:
         assert compose(anchor, relative_map(anchor, target)) == target
 
     def test_identity_for_equal_params(self):
-        assert relative_map(aff(3, 4), aff(3, 4)).is_identity
+        assert relative_map(aff(3, 4), aff(3, 4)) == DyadicAffine.identity(1)
 
     def test_rejects_frames_off_the_lattice(self):
         # The integer body reads numerators only; a dyadic shift would be
@@ -349,15 +387,38 @@ class TestLowestTermsByConstruction:
 
     def test_instances_have_no_dict(self):
         index = lattice_index(1, 0, 3)
-        for obj in (index, index.shift, index.shift.scaled_by_pow2(-1)):
+        frame = aff(1, 3)
+        for obj in (index, index.shift, index.shift.scaled_by_pow2(-1), frame):
             assert not hasattr(obj, "__dict__")
         with pytest.raises(AttributeError):
             index.gen = 2
         with pytest.raises(AttributeError):
             index.shift.denom_exp = 1
+        with pytest.raises(AttributeError):
+            frame.scale = 2
 
     def test_repr_is_unchanged(self):
         index = WaveletIndex(1, 2, DyadicRationalVec((3,), 1))
         assert repr(index) == (
             "WaveletIndex(gen=1, scale=2, shift=DyadicRationalVec(numerators=(3,), denom_exp=1))"
         )
+        assert repr(DyadicAffine.identity(1)) == (
+            "DyadicAffine(scale=0, shift=DyadicRationalVec(numerators=(0,), denom_exp=0))"
+        )
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [vec(3), vec(1)],
+            [lattice_index(2, 0, 0, 0), lattice_index(1, 0, 0, 1)],
+            [aff(1, 0), aff(0, 5)],
+        ],
+        ids=["vector", "index", "frame"],
+    )
+    def test_values_have_no_order(self, values):
+        # Indices are ordered by ``field.order_key`` only; the tuple order,
+        # generator first, would sort them silently in another order.
+        with pytest.raises(TypeError):
+            sorted(values)
+        with pytest.raises(TypeError):
+            values[0] <= values[1]

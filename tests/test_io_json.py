@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import emit_oracle, verification_obj_oracle
 
-from waveprof.dyadic import DyadicAffine, DyadicRationalVec
+from waveprof.dyadic import DyadicAffine, DyadicRationalVec, WaveletIndex
 from waveprof.extract import extract_profiles, verify
 from waveprof.io_json import (
     config_from_obj,
@@ -183,6 +183,21 @@ class TestCanonicalEmitter:
         with pytest.raises(error):
             dumps_canonical(obj)
         assert _outcome(dumps_canonical, obj) == _outcome(emit_oracle, obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            WaveletIndex(1, 0, DyadicRationalVec((3,))),
+            DyadicAffine.identity(2),
+            {"anchor": [DyadicRationalVec((1, 2), 1)]},
+        ],
+        ids=["index", "frame", "nested-vector"],
+    )
+    def test_value_types_are_not_lists(self, obj):
+        # The dyadic value types are tuples; the loaders write them as rows
+        # and objects of their own, so one reaching the emitter is an error.
+        with pytest.raises(TypeError, match="cannot serialize"):
+            dumps_canonical(obj)
 
 
 def test_anchor_rows_round_trip_as_frames():

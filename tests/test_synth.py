@@ -7,7 +7,7 @@ import pytest
 
 import waveprof
 from waveprof import cli, dyadic, extract, field, norms, synth
-from waveprof.dyadic import compose, invert
+from waveprof.dyadic import DyadicAffine, compose, invert
 from waveprof.extract import ExtractConfig, LpInput, extract_profiles, remainder
 from waveprof.field import CoeffField, transform
 from waveprof.norms import lp_norm, sup_amplitude
@@ -334,7 +334,7 @@ class TestAlignFrames:
         report = align_frames(truth, truth)
         assert report.complete
         assert report.max_amplitude_deviation == 0.0
-        assert all(m.frame_map.is_identity for m in report.matches)
+        assert all(m.frame_map == DyadicAffine.identity(truth.dim) for m in report.matches)
 
     def test_group_order_is_irrelevant(self):
         _, truth = generate(simple_spec())
