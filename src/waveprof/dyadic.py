@@ -11,12 +11,24 @@ of the two index types check and normalise; ``_make`` takes fields the
 caller already knows to be valid and in lowest terms, such as the results of
 exact arithmetic on valid values.  None of the types is ordered: indices are
 sorted by :func:`waveprof.field.order_key` only.
+
+Every left shift of an exact value is bounded: an operation whose shift
+amount exceeds ``MAX_SHIFT`` bits raises ``ValueError`` before it shifts.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+
+# Most bits one exact operation may shift a value by: norms.MAX_WALK 64-bit
+# words, the widest box corner a norm admits (see README, "Cost model").  A
+# wider shift would build an integer that many bits wide from a tiny input.
+MAX_SHIFT = 1 << 26
+
+
+def _too_wide(bits: int) -> ValueError:
+    return ValueError(f"exact index arithmetic needs a shift of {bits} bits, more than {MAX_SHIFT}")
 
 
 def _normalize(numerators: tuple[int, ...], denom_exp: int) -> tuple[tuple[int, ...], int]:
@@ -86,6 +98,8 @@ class DyadicRationalVec(namedtuple("DyadicRationalVec", "numerators denom_exp"))
 
     def scaled_by_pow2(self, exponent: int) -> DyadicRationalVec:
         """Exact multiplication of the value by ``2**exponent``."""
+        if exponent > MAX_SHIFT:
+            raise _too_wide(exponent)
         if exponent >= 0:
             nums, exp = tuple(c << exponent for c in self.numerators), self.denom_exp
         else:
@@ -96,6 +110,8 @@ class DyadicRationalVec(namedtuple("DyadicRationalVec", "numerators denom_exp"))
         if len(self.numerators) != len(other.numerators):
             raise ValueError("dimension mismatch")
         a_exp, b_exp = self.denom_exp, other.denom_exp
+        if abs(a_exp - b_exp) > MAX_SHIFT:
+            raise _too_wide(abs(a_exp - b_exp))
         exp = max(a_exp, b_exp)
         nums = tuple(
             (a << (exp - a_exp)) + (b << (exp - b_exp))
@@ -198,6 +214,8 @@ def act_on_index(tau: DyadicAffine, index: WaveletIndex) -> WaveletIndex:
     offset_exp = offset.denom_exp - scale
     exp = max(offset_exp, shift.denom_exp, 0)
     up, shift_up = exp - offset_exp, exp - shift.denom_exp
+    if up > MAX_SHIFT or shift_up > MAX_SHIFT:
+        raise _too_wide(max(up, shift_up))
     nums = tuple((a << up) + (b << shift_up) for a, b in zip(offset.numerators, shift.numerators))
     if exp:
         nums, exp = _normalize(nums, exp)
@@ -228,6 +246,8 @@ def relative_map(anchor: DyadicAffine, target: DyadicAffine) -> DyadicAffine:
     if len(k0) != len(k1):
         raise ValueError("dimension mismatch")
     delta = target.scale - anchor.scale
+    if abs(delta) > MAX_SHIFT:
+        raise _too_wide(abs(delta))
     if delta >= 0:
         shift = DyadicRationalVec._make((tuple(b - (a << delta) for a, b in zip(k0, k1)), 0))
     else:

@@ -505,7 +505,8 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
                         rem.pop(index, None)
             current = CoeffField._unchecked(given.dim, given.p, dict(rem))
             rem_norms[level].append(remainder_space_norm(current, config))
-            if pos >= tail_start:
+            # At level 0 the remainder is the input: its excess is 0.0, unmeasured.
+            if level and pos >= tail_start:
                 excess[level].append(input_space_norm(current, space) - input_norms[pos])
         if dec.p != 2.0:
             values = iter(_cross_table(placed))

@@ -12,16 +12,20 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .dyadic import DyadicAffine, WaveletIndex, act_on_index
+from .dyadic import MAX_SHIFT, DyadicAffine, WaveletIndex, _too_wide, act_on_index
 
 
 def order_key(field: CoeffField) -> Callable[[WaveletIndex], tuple]:
     """The canonical order on the indices of ``field``, as a key: scale, shift value, generator.
 
     Shifts compare as integers at the field's largest ``denom_exp``, which
-    orders them exactly as their rational values do.
+    orders them exactly as their rational values do; ``ValueError`` when that
+    needs a shift of over ``MAX_SHIFT`` bits.
     """
-    top = max((index.shift.denom_exp for index in field.entries), default=0)
+    exps = {index.shift.denom_exp for index in field.entries}
+    top = max(exps, default=0)
+    if top - min(exps, default=0) > MAX_SHIFT:
+        raise _too_wide(top - min(exps))
 
     def key(index: WaveletIndex) -> tuple:
         shift = index.shift

@@ -168,15 +168,17 @@ def besov_norm(field: CoeffField, params: BesovParams) -> float:
 _Item = tuple[tuple[int, ...], int, float]
 
 
-def _square_items(field: CoeffField, resolution: int) -> list[_Item]:
-    """The boxes of ``field`` at ``resolution``, in ``order_key`` order of their indices.
+def _square_items(field: CoeffField) -> tuple[int, list[_Item]]:
+    """The finest resolution of a nonempty ``field`` and its boxes there, in ``order_key`` order.
 
-    The scale factors are checked first, and then the words the corners will
-    take, so that a scale out of range or a vast scale gap fails before the
-    corner of a far finer or coarser box is built.  A corner coordinate
-    n / 2**k at scale j is ``n << (resolution - j - k)``; it and its box's far
-    edge are about ``resolution - j + max(n.bit_length() - k, 0)`` bits wide.
+    The resolution is the largest scale plus shift ``denom_exp``.  The scale
+    factors are checked first, and then the words the corners will take, so
+    that a scale out of range or a vast scale gap fails before the corner of
+    a far finer or coarser box is built.  A corner coordinate n / 2**k at
+    scale j is ``n << (resolution - j - k)``; it and its box's far edge are
+    about ``resolution - j + max(n.bit_length() - k, 0)`` bits wide.
     """
+    resolution = max(index.scale + index.shift.denom_exp for index in field.entries)
     two_d_over_p = 2.0 * field.dim / field.p
     factor = {j: _normal(2.0 ** (two_d_over_p * j)) for j in {i.scale for i in field.entries}}
     _check_corners(
@@ -190,7 +192,7 @@ def _square_items(field: CoeffField, resolution: int) -> list[_Item]:
         stretch = resolution - j - shift.denom_exp
         lo = tuple(n << stretch for n in shift.numerators)
         items.append((lo, resolution - j, _normal(amp * amp * factor[j])))
-    return items
+    return resolution, items
 
 
 def _check_corners(widths: Iterable[int]) -> None:
@@ -201,12 +203,6 @@ def _check_corners(widths: Iterable[int]) -> None:
     """
     if sum(w // 64 + 1 for w in widths) > MAX_WALK:
         raise _Unbounded("64-bit words of box corners")
-
-
-def _own_boxes(field: CoeffField) -> tuple[int, list[_Item]]:
-    """The finest resolution of a nonempty ``field`` and its boxes there."""
-    resolution = max(index.scale + index.shift.denom_exp for index in field.entries)
-    return resolution, _square_items(field, resolution)
 
 
 def _cell_integral(
@@ -236,21 +232,36 @@ def _cell_integral(
     exact total once, as it rounds the tree's cell pieces.  A cube its
     sub-cubes tile holds no tree cell and is never evaluated.  Cost is
     distinct cubes times distinct sides, with no factor 2**d.
+
+    Each box, a root-cell box too, is counted before its cubes are built, so
+    past ``MAX_WALK`` cubes times sides the walk raises ``_Unbounded``.
     """
-    _check_walk(layers)
     # Where the tree adds each box's weight, in listed order.
     weights: dict[tuple[int, tuple[int, ...]], list[tuple[int, float]]] = {}
     root, root_exp = [0.0] * len(layers), None
+    count, counted_sides = 0, set()
     for layer_id, items in enumerate(layers):
         for lo, side_exp, weight in items:
             if not any(c & ((1 << side_exp) - 1) for c in lo):
+                blocks = None
+                count += 1
+                counted_sides.add(side_exp)
+            else:
+                blocks = list(_cube_blocks(lo, side_exp))
+                for e, spans in blocks:
+                    # index() counts past sys.maxsize, where len() of a range stops.
+                    count += math.prod(s.index(s[-1]) + 1 if s else 0 for s in spans)
+                    counted_sides.add(e)
+            if count * len(counted_sides) > MAX_WALK:
+                raise _Unbounded
+            if blocks is None:
                 cubes = ((side_exp, lo),)
             elif _is_root_cell(lo, side_exp, layers):
                 root[layer_id] += weight
                 root_exp = side_exp
                 continue
             else:
-                cubes = [(e, c) for e, spans in _cube_blocks(lo, side_exp) for c in product(*spans)]
+                cubes = [(e, c) for e, spans in blocks for c in product(*spans)]
             for cube in cubes:
                 weights.setdefault(cube, []).append((layer_id, weight))
 
@@ -357,28 +368,6 @@ def _cube_blocks(lo: tuple[int, ...], side_exp: int) -> Iterator[tuple[int, list
             yield e, nested[:i] + [ends] + inside[i + 1:]
 
 
-def _check_walk(layers: Sequence[list[_Item]]) -> None:
-    """Raise ``_Unbounded`` when the walk could cost more than ``MAX_WALK`` cubes times sides.
-
-    A dyadic box is one cube; any other box counts its blocks' spans, building no corner.
-    """
-    cubes, sides = 0, set()
-    for items in layers:
-        for lo, side_exp, _ in items:
-            if not any(c & ((1 << side_exp) - 1) for c in lo):
-                cubes += 1
-                sides.add(side_exp)
-                continue
-            for e, spans in _cube_blocks(lo, side_exp):
-                # index() counts past sys.maxsize, where len() of a range stops.
-                cubes += math.prod(s.index(s[-1]) + 1 if s else 0 for s in spans)
-                sides.add(e)
-                if cubes * len(sides) > MAX_WALK:
-                    raise _Unbounded
-    if cubes * len(sides) > MAX_WALK:
-        raise _Unbounded
-
-
 def _bounding_box(items: list[_Item]) -> list[tuple[int, int]]:
     """Per-axis half-open integer interval [lo, hi) covering every box."""
     return [
@@ -419,7 +408,7 @@ def lp_norm(field: CoeffField) -> float:
     if not field.entries:
         return 0.0
     half_p = field.p / 2.0
-    resolution, items = _own_boxes(field)
+    resolution, items = _square_items(field)
     # A power that underflowed to zero stands for a value in (0, 2**-1075]:
     # the least subnormal marks it, so that the walk counts its slack.
     (total,) = _cell_integral(
@@ -451,8 +440,8 @@ def _cross_table(fields: Sequence[CoeffField]) -> tuple[float, ...]:
     so the first check to fail is the one a call per pair meets first.  A
     pair whose bounding boxes are disjoint gives (0.0, 0.0) with nothing more
     built.  Otherwise the coarser field's boxes are moved to the pair's
-    resolution R, which lists exactly the boxes ``_square_items(f, R)`` lists,
-    and one walk gives both orders.
+    resolution R by ``_finer``, which lists exactly the boxes the field would
+    have at R, and one walk gives both orders.
     """
     if len(fields) < 2:
         return ()
@@ -479,7 +468,7 @@ def _cross_table(fields: Sequence[CoeffField]) -> tuple[float, ...]:
 
     def built(i: int) -> tuple[int, list[_Item], list[tuple[int, int]]]:
         if boxes[i] is None:
-            resolution, items = _own_boxes(fields[i])
+            resolution, items = _square_items(fields[i])
             boxes[i] = (resolution, items, _bounding_box(items))
         return boxes[i]
 

@@ -22,9 +22,11 @@ from itertools import combinations
 from typing import Iterable
 
 from .dyadic import (
+    MAX_SHIFT,
     DyadicAffine,
     DyadicRationalVec,
     WaveletIndex,
+    _too_wide,
     act_on_index,
     compose,
     invert,
@@ -242,7 +244,9 @@ def _noise_frame(spec: SyntheticSpec, placed: Iterable[CoeffField]) -> tuple[int
     The scale is one finer than every planted entry's and at least 1.  Input
     n draws each shift component from the ``span << scale`` values starting
     at ``(offset + (n - 1) * span) << scale``, beyond every planted cube.  A
-    noisy spec whose draws would span more than 2**64 values is rejected.
+    noisy spec whose draws would span more than 2**64 values is rejected
+    without building ``span << scale``, and an edge shifted by more than
+    ``MAX_SHIFT`` bits is never built.
     """
     # An entry at scale j with shift k / 2**d covers a cube whose farthest
     # edge from the origin, per axis, is (|k| + 2**d) / 2**(j + d).
@@ -256,13 +260,15 @@ def _noise_frame(spec: SyntheticSpec, placed: Iterable[CoeffField]) -> tuple[int
             top_scale = max(top_scale, index.scale)
             denom_exp = index.shift.denom_exp
             exponent = index.scale + denom_exp
+            if -exponent > MAX_SHIFT:
+                raise _too_wide(-exponent)
             for c in index.shift.numerators:
                 edge = abs(c) + (1 << denom_exp)
                 reach = max(reach, -(-edge >> exponent) if exponent >= 0 else edge << -exponent)
     scale = top_scale + 1
     # Each noise shift component and generator is one SeededStream draw,
     # which spans at most 2**64 values; there are 2**dim - 1 generators.
-    if span and (span << scale > 1 << 64 or spec.dim > 64):
+    if span and (span > (1 << 64) >> scale or spec.dim > 64):
         raise ValueError(
             f"noise at scale {scale} in dimension {spec.dim} needs draws "
             "from more than 2**64 values"

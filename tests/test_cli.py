@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,21 @@ CONFIG_OBJ = {
     "space": {"kind": "lp", "p": 4.0},
     "remainder": [8.0, 8.0],
 }
+
+
+# An exponent past dyadic.MAX_SHIFT = 2**26 bits; the integer it once built
+# took 16 MiB.
+FAR = 2**27
+SHIFT_ERROR = f"exact index arithmetic needs a shift of {FAR} bits, more than {2**26}"
+
+
+def _traced_main(argv):
+    """``main(argv)`` and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        return main(argv), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture()
@@ -183,6 +199,30 @@ class TestGenerate:
         assert "noise" in done.stderr and "scale 71" in done.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_noise_far_up_in_scale_is_rejected_without_the_draw_range(self, tmp_path, capsys):
+        # The range of the noise draws, 8 << (FAR + 1), is never built.
+        far = {"kind": "constant", "j0": FAR, "k0": [0]}
+        profile = dict(SPEC_OBJ["profiles"][0], law=far)
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(dict(SPEC_OBJ, profiles=[profile], noise={"amp": 1e-4, "count": 2})))
+        code, peak = _traced_main(["generate", str(path), str(tmp_path / "out")])
+        assert code == 2
+        assert f"noise at scale {FAR + 1} in dimension 1 needs draws" in capsys.readouterr().err
+        assert peak < 4 << 20
+        assert not (tmp_path / "out").exists()
+
+    def test_a_profile_entry_far_off_the_lattice_exits_2(self, tmp_path, capsys):
+        # Placing the entry 1 / 2**FAR at law shift 3 once built 3 << FAR.
+        entry = {"i": 1, "j": 0, "k": [1], "denom_exp": FAR, "amp": 1.0}
+        profile = {"entries": [entry], "law": {"kind": "constant", "j0": 0, "k0": [3]}}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(dict(SPEC_OBJ, profiles=[profile])))
+        code, peak = _traced_main(["generate", str(path), str(tmp_path / "out")])
+        assert code == 2
+        assert SHIFT_ERROR in capsys.readouterr().err
+        assert peak < 4 << 20
+        assert not (tmp_path / "out").exists()
+
     def test_spec_error_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "no_p.json"
         path.write_text(json.dumps({k: v for k, v in SPEC_OBJ.items() if k != "p"}))
@@ -283,6 +323,33 @@ class TestDecompose:
         capsys.readouterr()
         assert main(["decompose", str(corpus_dir), "--config", str(path), "--out", str(tmp / "r.json")]) == 2
         assert f"error: {path}: config lacks the required key 'tail_window'" in capsys.readouterr().err
+
+    def test_besov_inputs_far_apart_in_scale_exit_2(self, tmp_path, capsys):
+        # The relative map from (0, n) onto (FAR, 1) once built n << FAR.  In
+        # Besov mode no norm sees the scale gap first.
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        for n in range(1, 5):
+            (corpus_dir / f"field_{n:04d}.json").write_text(json.dumps({
+                "dimension": 1, "p": 2.0,
+                "entries": [
+                    {"i": 1, "j": 0, "k": [n], "amp": 1.0},
+                    {"i": 1, "j": FAR, "k": [1], "amp": 0.5},
+                ],
+            }))
+        config = dict(
+            CONFIG_OBJ, space={"kind": "besov", "p": 2.0, "a": 2.0, "q": 2.0}, remainder=[4.0, 8.0]
+        )
+        config_path = tmp_path / "besov.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "r.json"
+        code, peak = _traced_main(
+            ["decompose", str(corpus_dir), "--config", str(config_path), "--out", str(out)]
+        )
+        assert code == 2
+        assert SHIFT_ERROR in capsys.readouterr().err
+        assert peak < 4 << 20
+        assert not out.exists()
 
     def test_byte_determinism(self, corpus):
         tmp, corpus_dir, config_path = corpus

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from waveprof.dyadic import (
+    MAX_SHIFT,
     DyadicAffine,
     DyadicRationalVec,
     WaveletIndex,
@@ -19,6 +21,7 @@ from waveprof.dyadic import (
     orthogonality_gap,
     relative_map,
 )
+from waveprof.field import CoeffField, order_key
 from conftest import (
     act_on_index_oracle,
     add_oracle,
@@ -296,6 +299,49 @@ class TestRelativeMap:
                 relative_map(anchor, target)
             with pytest.raises(ValueError, match="integral shifts"):
                 orthogonality_gap(anchor, target)
+
+
+_WIDE = MAX_SHIFT + 1
+
+
+class TestShiftBound:
+    """Each left shift of an exact value is checked against ``MAX_SHIFT`` before it is made."""
+
+    @pytest.mark.parametrize("operation", [
+        lambda: vec(1).scaled_by_pow2(_WIDE),
+        lambda: vec(1) + vec(1, e=_WIDE),
+        lambda: vec(1, e=_WIDE) - vec(1),
+        lambda: relative_map(aff(0, 1), aff(_WIDE, 0)),
+        lambda: relative_map(aff(_WIDE, 0), aff(0, 1)),
+        lambda: orthogonality_gap(aff(0, 1), aff(_WIDE, 0)),
+        lambda: act_on_index(aff(0, 1), WaveletIndex(1, 0, vec(1, e=_WIDE))),
+        lambda: act_on_index(aff(0, 1), WaveletIndex(1, -_WIDE, vec(1))),
+        lambda: compose(aff(0, 1), aff(_WIDE, 0)),
+        lambda: order_key(CoeffField(1, 4.0, {
+            WaveletIndex(1, 0, vec(1, e=_WIDE)): 1.0, WaveletIndex(1, 0, vec(1)): 1.0,
+        })),
+    ], ids=[
+        "scaled", "add", "sub", "relative-up", "relative-down", "gap", "act-denominator",
+        "act-scale", "compose", "order-key",
+    ])
+    def test_a_wider_shift_raises_before_it_is_made(self, operation):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as caught:
+                operation()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == (
+            f"exact index arithmetic needs a shift of {_WIDE} bits, more than {MAX_SHIFT}"
+        )
+        # The integer it would have built takes 8 MiB.
+        assert peak < 1 << 20
+
+    def test_a_shift_of_max_shift_bits_is_made(self):
+        # A zero shifted that far costs nothing; only the amount is checked.
+        assert relative_map(aff(0, 0), aff(MAX_SHIFT, 0)) == aff(MAX_SHIFT, 0)
+        assert vec(0).scaled_by_pow2(MAX_SHIFT) == vec(0)
 
 
 # Denominator exponents: integral, small, and far beyond any numerator's bits.

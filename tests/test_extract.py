@@ -824,8 +824,9 @@ class TestOneInputNormPass:
         assert dec.retained == tuple(range(1, len(fields) + 1)) and groups == 3
         assert extracted == len(fields)
         # The rebuild measured the retained inputs again in verify: one
-        # lp_norm call per input more than this, for the same report.
-        before = len(fields) + len(dec.retained) + groups + window * (groups + 1)
+        # lp_norm call per input more than this, for the same report.  Each
+        # tail remainder is measured past level 0, where it is the input.
+        before = len(fields) + len(dec.retained) + groups + window * groups
         assert len(calls) == before - len(fields)
         assert report.input_norms == tuple(lp_norm(f) for f in fields)
 
@@ -838,8 +839,31 @@ class TestOneInputNormPass:
         calls = self._count_lp_norm(monkeypatch)
         assert verify(stored, config) == verify(dec, config)
         groups = len(dec.groups)
-        rebuilt = len(dec.retained) + groups + config.tail_window * (groups + 1)
+        rebuilt = len(dec.retained) + groups + config.tail_window * groups
         assert len(calls) == rebuilt + (rebuilt - len(dec.retained))
+
+    @pytest.mark.parametrize("space, remainder", [
+        (LpInput(4.0), (8.0, 8.0)), (BesovInput(4.0, 2.0, 2.0), (3.0, 4.0)),
+    ], ids=["lp", "besov"])
+    def test_verify_measures_no_tail_input_against_itself(self, monkeypatch, space, remainder):
+        # At level 0 the remainder is the input, whose excess over itself is 0.0.
+        config = ExtractConfig(
+            max_iterations=8, tail_window=3, conv_tol=1e-9, bound_threshold=6.0,
+            stop_epsilon=1e-9, input_space=space, remainder_space=remainder,
+        )
+        dec = extract_profiles(_cross_shaped_corpus(), config)
+        calls = []
+
+        def counted(f, measured):
+            calls.append(1)
+            return input_space_norm(f, measured)
+
+        monkeypatch.setattr(extract, "input_space_norm", counted)
+        report = verify(dec, config)
+        groups = len(dec.groups)
+        assert groups == 3
+        assert len(calls) == groups + config.tail_window * groups
+        assert report.margins[0] == 0.0
 
     def test_other_space_is_measured_again(self):
         fields = _cross_shaped_corpus()

@@ -458,7 +458,7 @@ class TestCellIntegralKernel:
             )
             for i in sorted(f.entries, key=order_key_oracle)
         ]
-        assert norms._square_items(f, resolution) == expected
+        assert norms._square_items(f) == (resolution, expected)
 
     @given(_raw_layers())
     # Two unit cubes listed before the box [1, 5): the tree adds the box at
@@ -541,19 +541,33 @@ class TestDyadicCubes:
         finest = min((c & -c).bit_length() - 1 for c in lo if c)
         sides = {e for e, _ in want}
         assert sides == set(range(finest, side_exp))
-        # The bound counts exactly cubes times sides, without a corner.
-        layers = [[(lo, side_exp, 1.0)]]
+        # The walk counts exactly cubes times sides, before it builds a cube.
+        args = ([[(lo, side_exp, 1.0)]], len(lo), 0, lambda acc: (acc[0],), 1)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(norms, "MAX_WALK", len(want) * len(sides))
-            norms._check_walk(layers)
+            norms._cell_integral(*args)
             patch.setattr(norms, "MAX_WALK", len(want) * len(sides) - 1)
             with pytest.raises(norms._Unbounded):
-                norms._check_walk(layers)
+                norms._cell_integral(*args)
+
+    def test_a_root_cell_box_counts_its_blocks(self, monkeypatch):
+        # At resolution 1 the first box is [-1, 1), the root cell, which the
+        # walk adds at the root; its two unit cubes still count, so with the
+        # box [0, 1/2) the walk counts 3 cubes at one side, not 1.
+        f = fld(4.0, (WaveletIndex(1, 0, DyadicRationalVec((-1,), 1)), 1.0), (lattice_index(1, 1, 0), 1.0))
+        (_, [root_box, _]) = norms._square_items(f)
+        assert root_box[:2] == ((-1,), 1)
+        monkeypatch.setattr(norms, "MAX_WALK", 3)
+        assert _bits([lp_norm(f)]) == _bits([_with_recursive_oracle(lp_norm, f)])
+        monkeypatch.setattr(norms, "MAX_WALK", 2)
+        with pytest.raises(ValueError, match="^Lebesgue norm needs more than 2 cubes times sides$"):
+            lp_norm(f)
 
     def test_seven_bits_off_the_grid_in_dimension_3(self):
         # The README's example: 112064 cubes at 7 sides, under the bound.
         f = fld(4.0, (WaveletIndex(1, 0, DyadicRationalVec((7, 7, 7), 7)), 1.0), dim=3)
-        lo, side_exp, _ = norms._square_items(f, 7)[0]
+        (resolution, [(lo, side_exp, _)]) = norms._square_items(f)
+        assert resolution == 7
         assert sum(math.prod(map(len, s)) for _, s in norms._cube_blocks(lo, side_exp)) == 112064
         assert lp_norm(f) == 1.0
 
