@@ -824,8 +824,8 @@ class TestOneInputNormPass:
         assert dec.retained == tuple(range(1, len(fields) + 1)) and groups == 3
         assert extracted == len(fields)
         # The rebuild measured the retained inputs again in verify: one
-        # lp_norm call per input more than this, for the same report.  Each
-        # tail remainder is measured past level 0, where it is the input.
+        # lp_norm call per input more than this, for the same report.  Tail
+        # remainders are measured from level 1 on: at level 0 each is its input.
         before = len(fields) + len(dec.retained) + groups + window * groups
         assert len(calls) == before - len(fields)
         assert report.input_norms == tuple(lp_norm(f) for f in fields)
