@@ -73,8 +73,11 @@ def _load_corpus(directory: Path) -> list[CoeffField]:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    spec = _load(Path(args.spec), io_json.synthetic_spec_from_obj)
-    fields, truth = generate(spec)
+    spec_path = Path(args.spec)
+    spec = _load(spec_path, io_json.synthetic_spec_from_obj)
+    # The spec is generate's only input, so whatever it rejects names the file.
+    with _naming(spec_path):
+        fields, truth = generate(spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # One width for every name, so that the sorted names are in sequence order.

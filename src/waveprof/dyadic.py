@@ -12,8 +12,10 @@ caller already knows to be valid and in lowest terms, such as the results of
 exact arithmetic on valid values.  None of the types is ordered: indices are
 sorted by :func:`waveprof.field.order_key` only.
 
-Every left shift of an exact value is bounded: an operation whose shift
-amount exceeds ``MAX_SHIFT`` bits raises ``ValueError`` before it shifts.
+Every exact sum and rescaling runs through one core, ``_shifted_sum``, the
+only place that shifts a numerator left.  It bounds the shift it actually
+makes: one wider than ``MAX_SHIFT`` bits raises ``ValueError`` before it is
+made.
 """
 
 from __future__ import annotations
@@ -44,6 +46,34 @@ def _normalize(numerators: tuple[int, ...], denom_exp: int) -> tuple[tuple[int, 
             numerators = tuple(n >> step for n in numerators)
             denom_exp -= step
     return numerators, denom_exp
+
+
+def _shifted_sum(
+    a: DyadicRationalVec, scale: int, b: DyadicRationalVec | None = None
+) -> DyadicRationalVec:
+    """``a * 2**scale + b`` in lowest terms; ``b`` is zero when omitted.
+
+    Both terms go over their common denominator ``2**exp``, ``exp`` the
+    largest of ``a.denom_exp - scale``, ``b.denom_exp`` and 0: the term over
+    the smaller one is shifted by the difference, checked against
+    ``MAX_SHIFT`` first.  The sum is normalised once, not at all when exp is 0.
+    """
+    a_exp = a.denom_exp - scale
+    b_exp = (a_exp if a_exp > 0 else 0) if b is None else b.denom_exp
+    if b is not None and len(a.numerators) != len(b.numerators):
+        raise ValueError("dimension mismatch")
+    up, exp = (b_exp - a_exp, b_exp) if a_exp < b_exp else (a_exp - b_exp, a_exp)
+    if up > MAX_SHIFT:
+        raise _too_wide(up)
+    if b is None:
+        nums = tuple([c << up for c in a.numerators]) if up else a.numerators
+    elif a_exp < b_exp:
+        nums = tuple([(x << up) + y for x, y in zip(a.numerators, b.numerators)])
+    else:
+        nums = tuple([x + (y << up) for x, y in zip(a.numerators, b.numerators)])
+    if exp:
+        nums, exp = _normalize(nums, exp)
+    return DyadicRationalVec._make((nums, exp))
 
 
 def _ldexp(c: int, exp: int) -> float:
@@ -98,26 +128,10 @@ class DyadicRationalVec(namedtuple("DyadicRationalVec", "numerators denom_exp"))
 
     def scaled_by_pow2(self, exponent: int) -> DyadicRationalVec:
         """Exact multiplication of the value by ``2**exponent``."""
-        if exponent > MAX_SHIFT:
-            raise _too_wide(exponent)
-        if exponent >= 0:
-            nums, exp = tuple(c << exponent for c in self.numerators), self.denom_exp
-        else:
-            nums, exp = self.numerators, self.denom_exp - exponent
-        return DyadicRationalVec._make(_normalize(nums, exp))
+        return _shifted_sum(self, exponent)
 
     def __add__(self, other: DyadicRationalVec) -> DyadicRationalVec:
-        if len(self.numerators) != len(other.numerators):
-            raise ValueError("dimension mismatch")
-        a_exp, b_exp = self.denom_exp, other.denom_exp
-        if abs(a_exp - b_exp) > MAX_SHIFT:
-            raise _too_wide(abs(a_exp - b_exp))
-        exp = max(a_exp, b_exp)
-        nums = tuple(
-            (a << (exp - a_exp)) + (b << (exp - b_exp))
-            for a, b in zip(self.numerators, other.numerators)
-        )
-        return DyadicRationalVec._make(_normalize(nums, exp))
+        return _shifted_sum(self, 0, other)
 
     def __neg__(self) -> DyadicRationalVec:
         return DyadicRationalVec._make((tuple(-c for c in self.numerators), self.denom_exp))
@@ -168,17 +182,13 @@ class DyadicAffine(namedtuple("DyadicAffine", "scale shift")):
 
 def compose(inner: DyadicAffine, outer: DyadicAffine) -> DyadicAffine:
     """The map sending x to outer(inner(x))."""
-    if inner.dim != outer.dim:
-        raise ValueError("dimension mismatch")
-    return DyadicAffine(
-        inner.scale + outer.scale,
-        inner.shift.scaled_by_pow2(outer.scale) + outer.shift,
-    )
+    shift = _shifted_sum(inner.shift, outer.scale, outer.shift)
+    return DyadicAffine(inner.scale + outer.scale, shift)
 
 
 def invert(tau: DyadicAffine) -> DyadicAffine:
     """The map sigma with compose(tau, sigma) = compose(sigma, tau) = identity."""
-    return DyadicAffine(-tau.scale, (-tau.shift).scaled_by_pow2(-tau.scale))
+    return DyadicAffine(-tau.scale, _shifted_sum(-tau.shift, -tau.scale))
 
 
 def magnitude(tau: DyadicAffine) -> float:
@@ -205,21 +215,8 @@ def act_on_index(tau: DyadicAffine, index: WaveletIndex) -> WaveletIndex:
     Satisfies act_on_index(compose(t1, t2), idx) ==
     act_on_index(t1, act_on_index(t2, idx)).
     """
-    offset, shift, scale = tau.shift, index.shift, index.scale
-    if len(offset.numerators) != len(shift.numerators):
-        raise ValueError("dimension mismatch")
-    # One sum of 2**scale * offset and shift over their common denominator
-    # 2**exp, normalised once; for integral shifts at a scale >= 0 exp is 0
-    # and nothing is normalised.
-    offset_exp = offset.denom_exp - scale
-    exp = max(offset_exp, shift.denom_exp, 0)
-    up, shift_up = exp - offset_exp, exp - shift.denom_exp
-    if up > MAX_SHIFT or shift_up > MAX_SHIFT:
-        raise _too_wide(max(up, shift_up))
-    nums = tuple((a << up) + (b << shift_up) for a, b in zip(offset.numerators, shift.numerators))
-    if exp:
-        nums, exp = _normalize(nums, exp)
-    return WaveletIndex._make((index.gen, tau.scale + scale, DyadicRationalVec._make((nums, exp))))
+    shift = _shifted_sum(tau.shift, index.scale, index.shift)
+    return WaveletIndex._make((index.gen, tau.scale + index.scale, shift))
 
 
 def orthogonality_gap(a: DyadicAffine, b: DyadicAffine) -> float:
@@ -242,15 +239,5 @@ def relative_map(anchor: DyadicAffine, target: DyadicAffine) -> DyadicAffine:
     """
     if anchor.shift.denom_exp or target.shift.denom_exp:
         raise ValueError("relative_map needs frames with integral shifts")
-    k0, k1 = anchor.shift.numerators, target.shift.numerators
-    if len(k0) != len(k1):
-        raise ValueError("dimension mismatch")
     delta = target.scale - anchor.scale
-    if abs(delta) > MAX_SHIFT:
-        raise _too_wide(abs(delta))
-    if delta >= 0:
-        shift = DyadicRationalVec._make((tuple(b - (a << delta) for a, b in zip(k0, k1)), 0))
-    else:
-        nums = tuple((b << -delta) - a for a, b in zip(k0, k1))
-        shift = DyadicRationalVec._make(_normalize(nums, -delta))
-    return DyadicAffine(delta, shift)
+    return DyadicAffine(delta, _shifted_sum(-anchor.shift, delta, target.shift))

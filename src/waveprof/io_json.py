@@ -300,6 +300,12 @@ def decomposition_from_obj(obj: Any, inputs: Mapping[int, CoeffField]) -> Decomp
         members = [(m.index, m.amplitude) for m in group.members if m.amplitude != 0.0]
         if len(members) != len(group.profile) or dict(members) != group.profile.entries:
             raise ValueError(f"group {position} members do not match its profile")
+    diagnostics = tuple(
+        _check(d, "diagnostic", str) for d in _get(obj, "diagnostics", what, list, [])
+    )
+    norm_max = _get(obj, "input_norm_max", what, float, None)
+    if norm_max is not None and not 0.0 <= norm_max < math.inf:
+        raise ValueError(f"{what} input_norm_max must be finite and nonnegative, got {norm_max}")
     # The decomposition checks its own structure: dimensions, retained, anchors.
     return Decomposition(
         dim=dim,
@@ -307,8 +313,8 @@ def decomposition_from_obj(obj: Any, inputs: Mapping[int, CoeffField]) -> Decomp
         inputs=dict(inputs),
         groups=groups,
         retained=retained,
-        diagnostics=tuple(str(d) for d in _get(obj, "diagnostics", what, list, [])),
-        input_norm_max=_get(obj, "input_norm_max", what, float, None),
+        diagnostics=diagnostics,
+        input_norm_max=norm_max,
     )
 
 

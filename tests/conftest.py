@@ -132,6 +132,17 @@ def relative_map_oracle(anchor: DyadicAffine, target: DyadicAffine) -> DyadicAff
     return DyadicAffine(delta, sub_oracle(target.shift, scaled_oracle(anchor.shift, delta)))
 
 
+def compose_oracle(inner: DyadicAffine, outer: DyadicAffine) -> DyadicAffine:
+    """2**j1 * k0 + k1 over scale j0 + j1."""
+    shift = add_oracle(scaled_oracle(inner.shift, outer.scale), outer.shift)
+    return DyadicAffine(inner.scale + outer.scale, shift)
+
+
+def invert_oracle(tau: DyadicAffine) -> DyadicAffine:
+    """-2**-j * k over scale -j."""
+    return DyadicAffine(-tau.scale, scaled_oracle(neg_oracle(tau.shift), -tau.scale))
+
+
 def act_on_index_oracle(tau: DyadicAffine, index: WaveletIndex) -> WaveletIndex:
     return WaveletIndex(
         index.gen,

@@ -150,7 +150,8 @@ class TestGenerate:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         assert main(["generate", str(path), str(tmp_path / "out")]) == 2
-        assert "separate" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "separate" in err
 
     @pytest.mark.parametrize(
         "overrides, name",
@@ -483,6 +484,21 @@ def _report_diagnostics(report):
     return report, "diagnostics must be a list"
 
 
+def _report_diagnostic_kinds(report):
+    # Coerced to strings, they would be written back altered, and verify's
+    # output would no longer match the stored report.
+    report["decomposition"]["diagnostics"] = [1, None]
+    return report, "diagnostic must be a string"
+
+
+def _input_norm_max_nan(report):
+    # NaN cannot be emitted, so it is rejected where the report is read.
+    report["decomposition"]["input_norm_max"] = "nan"
+    return report, (
+        "report.json: decomposition input_norm_max must be finite and nonnegative, got nan"
+    )
+
+
 def _retained_outside_corpus(report):
     dec = report["decomposition"]
     dec["retained"].append(99)
@@ -548,6 +564,8 @@ def _entry_amplitude_beyond_floats(field):
         ("verify", _report_member),
         ("verify", _anchor_row),
         ("verify", _report_diagnostics),
+        ("verify", _report_diagnostic_kinds),
+        ("verify", _input_norm_max_nan),
         ("verify", _retained_outside_corpus),
         ("verify", _member_scale_as_string),
         ("verify", _member_shift_too_long),
@@ -561,7 +579,8 @@ def _entry_amplitude_beyond_floats(field):
     ],
     ids=[
         "spec-profile", "spec-entry", "noise-amp-inf", "noise-amp-nan", "report-member",
-        "anchor-row", "report-diagnostics", "retained-outside-corpus", "member-scale-string",
+        "anchor-row", "report-diagnostics", "report-diagnostic-kinds", "input-norm-max-nan",
+        "retained-outside-corpus", "member-scale-string",
         "member-shift-length", "member-off-profile", "field-key", "entry-key",
         "entry-shift-first", "field-list", "field-p-list", "entry-amp-huge",
     ],

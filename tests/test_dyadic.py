@@ -26,9 +26,11 @@ from conftest import (
     act_on_index_oracle,
     add_oracle,
     apply_affine,
+    compose_oracle,
     cube_bounds,
     gap_oracle,
     in_cube,
+    invert_oracle,
     lattice_index,
     neg_oracle,
     relative_map_oracle,
@@ -343,6 +345,22 @@ class TestShiftBound:
         assert relative_map(aff(0, 0), aff(MAX_SHIFT, 0)) == aff(MAX_SHIFT, 0)
         assert vec(0).scaled_by_pow2(MAX_SHIFT) == vec(0)
 
+    def test_a_scale_the_denominator_absorbs_shifts_nothing(self):
+        # Each scale is _WIDE nominally, but the denominator 2**(_WIDE + 4)
+        # takes it up: only 2**4 is left and no numerator is shifted.
+        tracemalloc.start()
+        try:
+            scaled = vec(1, e=_WIDE + 4).scaled_by_pow2(_WIDE)
+            composed = compose(aff(0, 1, e=_WIDE + 4), aff(_WIDE, 3))
+            inverted = invert(aff(-_WIDE, 1, e=_WIDE + 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scaled == vec(1, e=4)
+        assert composed == aff(_WIDE, 49, e=4)
+        assert inverted == aff(_WIDE, -1, e=4)
+        assert peak < 1 << 20
+
 
 # Denominator exponents: integral, small, and far beyond any numerator's bits.
 _denom_exps = st.one_of(st.just(0), st.integers(1, 6), st.integers(100, 5000))
@@ -405,6 +423,28 @@ class TestLowestTermsByConstruction:
     def test_relative_map(self, pair):
         anchor, target = pair
         got, want = relative_map(anchor, target), relative_map_oracle(anchor, target)
+        assert got == want and got.scale == want.scale
+        assert_same_vec(got.shift, want.shift)
+
+    @given(dim_and_vecs(2), st.integers(-8, 8), st.one_of(st.integers(-8, 8), st.integers(-6000, 6000)))
+    @example((1, [DyadicRationalVec((1,), 3), DyadicRationalVec((3,), 0)]), 0, 3)
+    @example((2, [DyadicRationalVec((1, 3), 2), DyadicRationalVec((1, 1), 1)]), 0, 1)
+    @example((2, [DyadicRationalVec((1, 3), 2), DyadicRationalVec((-1, -3), 0)]), 1, 2)
+    def test_compose(self, dim_vecs, inner_scale, outer_scale):
+        _, (inner_shift, outer_shift) = dim_vecs
+        inner, outer = DyadicAffine(inner_scale, inner_shift), DyadicAffine(outer_scale, outer_shift)
+        got, want = compose(inner, outer), compose_oracle(inner, outer)
+        assert got == want and got.scale == want.scale
+        assert_same_vec(got.shift, want.shift)
+
+    @given(dim_and_vecs(1), st.one_of(st.integers(-8, 8), st.integers(-6000, 6000)))
+    @example((1, [DyadicRationalVec((6,), 0)]), 1)
+    @example((2, [DyadicRationalVec((3, 5), 4)]), -4)
+    @example((3, [DyadicRationalVec((0, 0, 0), 0)]), 7)
+    def test_invert(self, dim_vecs, scale):
+        _, (shift,) = dim_vecs
+        tau = DyadicAffine(scale, shift)
+        got, want = invert(tau), invert_oracle(tau)
         assert got == want and got.scale == want.scale
         assert_same_vec(got.shift, want.shift)
 

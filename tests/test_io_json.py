@@ -212,6 +212,14 @@ def test_anchor_rows_round_trip_as_frames():
     assert dumps_canonical(decomposition_to_obj(dec)) == dumps_canonical(obj)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", -1.0])
+def test_input_norm_max_must_be_finite_and_nonnegative(value):
+    obj = dict(DOCUMENTS["decomposition"][0], input_norm_max=value)
+    with pytest.raises(ValueError, match="decomposition input_norm_max must be finite and nonnegative"):
+        decomposition_from_obj(obj, _INPUTS)
+    assert decomposition_from_obj(dict(obj, input_norm_max=0.0), _INPUTS).input_norm_max == 0.0
+
+
 @pytest.mark.parametrize(
     "space, remainder",
     [(CONFIG_OBJ["space"], CONFIG_OBJ["remainder"]), ({"kind": "lp", "p": 4.0}, [8.0, 8.0])],
