@@ -45,23 +45,9 @@ class CoeffField:
     entries: Mapping[WaveletIndex, float]
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dimension must be at least 1")
-        p = float(self.p)
-        if not (2.0 <= p < math.inf):
-            raise ValueError("reference exponent p must satisfy 2 <= p < infinity")
-        clean: dict[WaveletIndex, float] = {}
-        for index, amp in dict(self.entries).items():
-            if index.dim != self.dim:
-                raise ValueError("index dimension does not match field dimension")
-            value = float(amp)
-            if value == 0.0:
-                raise ValueError("zero amplitudes must not be stored")
-            if not math.isfinite(value):
-                raise ValueError("amplitudes must be finite")
-            clean[index] = value
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "entries", MappingProxyType(clean))
+        checked = self.from_items(self.dim, self.p, self.entries.items())
+        object.__setattr__(self, "p", checked.p)
+        object.__setattr__(self, "entries", checked.entries)
 
     @classmethod
     def _unchecked(cls, dim: int, p: float, entries: dict[WaveletIndex, float]) -> CoeffField:
@@ -80,12 +66,25 @@ class CoeffField:
     def from_items(
         cls, dim: int, p: float, items: Iterable[tuple[WaveletIndex, float]]
     ) -> CoeffField:
+        """The field of ``items``: the one loop that checks a field's entries."""
+        if dim < 1:
+            raise ValueError("dimension must be at least 1")
+        p = float(p)
+        if not (2.0 <= p < math.inf):
+            raise ValueError("reference exponent p must satisfy 2 <= p < infinity")
         out: dict[WaveletIndex, float] = {}
         for index, amp in items:
             if index in out:
                 raise ValueError(f"duplicate index {index}")
-            out[index] = amp
-        return cls(dim, p, out)
+            if index.dim != dim:
+                raise ValueError("index dimension does not match field dimension")
+            value = float(amp)
+            if value == 0.0:
+                raise ValueError("zero amplitudes must not be stored")
+            if not math.isfinite(value):
+                raise ValueError("amplitudes must be finite")
+            out[index] = value
+        return cls._unchecked(dim, p, out)
 
     def __len__(self) -> int:
         return len(self.entries)

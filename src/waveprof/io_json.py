@@ -119,13 +119,14 @@ def _get(obj: Mapping, key: str, what: str, kind: type, default: Any = _REQUIRED
     return _check(value, f"{what} {key}", kind)
 
 
-def _shift(obj: Mapping, key: str, dim: int, what: str) -> tuple[int, ...]:
-    """The integer shift list under ``key``, one component per axis."""
+def _shift(obj: Mapping, key: str, dim: int, what: str) -> list[int]:
+    """The integer shift list under ``key``, one component per axis, as read."""
     shift = _get(obj, key, what, list)
     if len(shift) != dim:
         raise ValueError(f"{what} {key} must be a list matching the dimension")
-    component = f"{what} {key} component"
-    return tuple(_check(c, component, int) for c in shift)
+    if not all(type(c) is int for c in shift):
+        raise ValueError(f"{what} {key} component must be an integer")
+    return shift
 
 
 # -- wavelet indices and coefficient fields ----------------------------------
@@ -168,7 +169,7 @@ def _entries_from_obj(obj: Mapping, key: str, dim: int, p: float) -> CoeffField:
     Errors call it ``entries`` whatever its key: a group's ``profile`` is one.
     """
     entries = _check(obj.get(key, []), "entries", list)
-    return CoeffField.from_items(dim, p, [_entry_from_obj(e, dim) for e in entries])
+    return CoeffField.from_items(dim, p, (_entry_from_obj(e, dim) for e in entries))
 
 
 def field_to_obj(field: CoeffField) -> dict:
@@ -262,10 +263,14 @@ def _group_from_obj(obj: Any, dim: int, p: float) -> ProfileGroup:
         if not (isinstance(row, list) and len(row) == 3):
             raise ValueError("anchor rows must be [n, j, k]")
         row = dict(zip(("index", "scale", "shift"), row))
-        anchors[_get(row, "index", "anchor row", int)] = DyadicAffine(
+        anchor = DyadicAffine(
             _get(row, "scale", "anchor row", int),
             DyadicRationalVec(_shift(row, "shift", dim, "anchor row")),
         )
+        n = _get(row, "index", "anchor row", int)
+        if n in anchors:
+            raise ValueError(f"group anchor rows repeat index {n}")
+        anchors[n] = anchor
     members = tuple(_member_from_obj(m, dim) for m in _get(obj, "members", "group", list, []))
     return ProfileGroup(anchors, members, _entries_from_obj(obj, "profile", dim, p))
 
@@ -328,7 +333,7 @@ def report_from_obj(
 
 
 def _report_obj(value: Any) -> Any:
-    """A report value as JSON objects: a dataclass becomes a dict, a tuple a list.
+    """A report value or a spec's law as JSON objects: a dataclass becomes a dict, a tuple a list.
 
     Numbers and flags are taken as they are; nothing is copied.  The floats
     of the value tuples, the bulk of a report, skip the call.
@@ -373,16 +378,6 @@ def _law_from_obj(obj: Mapping) -> ParamLaw:
     )
 
 
-def _law_to_obj(law: ParamLaw) -> dict:
-    return {
-        "kind": law.kind,
-        "j0": law.j0,
-        "k0": list(law.k0),
-        "velocity": list(law.velocity),
-        "scale_step": law.scale_step,
-    }
-
-
 def synthetic_spec_to_obj(spec: SyntheticSpec) -> dict:
     obj = {
         "dimension": spec.dim,
@@ -392,7 +387,7 @@ def synthetic_spec_to_obj(spec: SyntheticSpec) -> dict:
         "profiles": [
             {
                 "entries": _entries_obj(planted.field),
-                "law": _law_to_obj(planted.law),
+                "law": _report_obj(planted.law),
             }
             for planted in spec.profiles
         ],

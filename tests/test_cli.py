@@ -479,6 +479,24 @@ def _anchor_row(report):
     return report, "anchor row shift must be a list"
 
 
+def _anchor_row_repeated(report):
+    # A mapping would keep only the last of the two rows, so the loader rejects the second.
+    anchor = report["decomposition"]["groups"][0]["anchor"]
+    n, j, k = anchor[0]
+    anchor.append([n, j + 1, [c + 1 for c in k]])
+    return report, f"report.json: group anchor rows repeat index {n}"
+
+
+def _anchor_row_shift_string(report):
+    report["decomposition"]["groups"][0]["anchor"][0][2] = ["0"]
+    return report, "anchor row shift component must be an integer"
+
+
+def _member_shift_fraction(report):
+    report["decomposition"]["groups"][0]["members"][0]["shift"] = [1.5]
+    return report, "group member shift component must be an integer"
+
+
 def _report_diagnostics(report):
     report["decomposition"]["diagnostics"] = 5
     return report, "diagnostics must be a list"
@@ -540,6 +558,26 @@ def _entry_shift_before_generator(field):
     return field, "entry k must be a list matching the dimension"
 
 
+def _entry_shift_string(field):
+    field["entries"][0]["k"] = ["0"]
+    return field, "entry k component must be an integer"
+
+
+def _entry_repeated(field):
+    field["entries"].append(field["entries"][0])
+    return field, "duplicate index"
+
+
+def _entry_amplitude_zero(field):
+    field["entries"][0]["amp"] = 0.0
+    return field, "zero amplitudes must not be stored"
+
+
+def _entry_amplitude_inf(field):
+    field["entries"][0]["amp"] = "inf"
+    return field, "amplitudes must be finite"
+
+
 def _field_as_list(field):
     return [1, 2], "field must be an object"
 
@@ -576,6 +614,13 @@ def _entry_amplitude_beyond_floats(field):
         ("norms", _field_as_list),
         ("norms", _field_p_as_list),
         ("norms", _entry_amplitude_beyond_floats),
+        ("verify", _anchor_row_repeated),
+        ("verify", _anchor_row_shift_string),
+        ("verify", _member_shift_fraction),
+        ("norms", _entry_shift_string),
+        ("norms", _entry_repeated),
+        ("norms", _entry_amplitude_zero),
+        ("norms", _entry_amplitude_inf),
     ],
     ids=[
         "spec-profile", "spec-entry", "noise-amp-inf", "noise-amp-nan", "report-member",
@@ -583,6 +628,8 @@ def _entry_amplitude_beyond_floats(field):
         "retained-outside-corpus", "member-scale-string",
         "member-shift-length", "member-off-profile", "field-key", "entry-key",
         "entry-shift-first", "field-list", "field-p-list", "entry-amp-huge",
+        "anchor-row-repeated", "anchor-row-shift-string", "member-shift-fraction",
+        "entry-shift-string", "entry-repeated", "entry-amp-zero", "entry-amp-inf",
     ],
 )
 def test_malformed_json_shape_exits_2(corpus, capsys, command, corrupt):

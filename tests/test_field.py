@@ -42,6 +42,50 @@ class TestConstruction:
         assert not fld(4.0, (off, 1.0)).is_lattice
 
 
+_INDEX = lattice_index(1, 0, 0)
+# dimension, p, items and the message of one fault each.
+_SINGLE_FAULTS = {
+    "dimension-0": (0, 4.0, [], "dimension must be at least 1"),
+    "p-1.5": (1, 1.5, [], "reference exponent p must satisfy 2 <= p < infinity"),
+    "index-dimension": (
+        1, 4.0, [(lattice_index(1, 0, 0, 0), 1.0)], "index dimension does not match field dimension"
+    ),
+    "zero-amplitude": (1, 4.0, [(_INDEX, 0.0)], "zero amplitudes must not be stored"),
+    "infinite-amplitude": (1, 4.0, [(_INDEX, math.inf)], "amplitudes must be finite"),
+    "duplicate": (1, 4.0, [(_INDEX, 1.0), (_INDEX, 2.0)], f"duplicate index {_INDEX}"),
+}
+_BUILDERS = {
+    "constructor": lambda dim, p, items: CoeffField(dim, p, dict(items)),
+    "from_items": CoeffField.from_items,
+}
+
+
+class TestOneChecker:
+    """``CoeffField(...)`` and ``from_items`` check entries in one loop, with one set of messages."""
+
+    @pytest.mark.parametrize(
+        "build, fault",
+        # A dict holds no duplicate, so only from_items can be given one.
+        [(b, f) for b in _BUILDERS for f in _SINGLE_FAULTS if (b, f) != ("constructor", "duplicate")],
+    )
+    def test_each_single_fault_has_its_message(self, build, fault):
+        dim, p, items, message = _SINGLE_FAULTS[fault]
+        with pytest.raises(ValueError) as excinfo:
+            _BUILDERS[build](dim, p, items)
+        assert str(excinfo.value) == message
+
+    def test_constructor_keeps_its_own_dict(self):
+        entries = {_INDEX: 1.0}
+        field = CoeffField(1, 4.0, entries)
+        entries[_INDEX] = 3.0
+        entries[lattice_index(1, 0, 1)] = 2.0
+        assert dict(field.entries) == {_INDEX: 1.0}
+
+    def test_from_items_takes_a_generator(self):
+        field = CoeffField.from_items(1, 4.0, ((lattice_index(1, 0, k), k + 1) for k in range(3)))
+        assert dict(field.entries) == {lattice_index(1, 0, k): float(k + 1) for k in range(3)}
+
+
 class TestTransform:
     def test_identity(self):
         f = fld(4.0, (lattice_index(1, 2, 5), -1.5))
