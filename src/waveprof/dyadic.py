@@ -12,15 +12,16 @@ caller already knows to be valid and in lowest terms, such as the results of
 exact arithmetic on valid values.  None of the types is ordered: indices are
 sorted by :func:`waveprof.field.order_key` only.
 
-Every exact sum and rescaling runs through one core, ``_shifted_sum``, the
-only place that shifts a numerator left.  It bounds the shift it actually
-makes: one wider than ``MAX_SHIFT`` bits raises ``ValueError`` before it is
-made.
+Every exact sum, difference and rescaling runs through one core,
+``_shifted_sum``, which returns ``±a * 2**s + b`` and is the only place that
+shifts a numerator left.  It bounds the shift it actually makes: one wider
+than ``MAX_SHIFT`` bits raises ``ValueError`` before it is made.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 
 # Most bits one exact operation may shift a value by: norms.MAX_WALK 64-bit
@@ -49,9 +50,9 @@ def _normalize(numerators: tuple[int, ...], denom_exp: int) -> tuple[tuple[int, 
 
 
 def _shifted_sum(
-    a: DyadicRationalVec, scale: int, b: DyadicRationalVec | None = None
+    a: DyadicRationalVec, scale: int, b: DyadicRationalVec | None = None, sign: int = 1
 ) -> DyadicRationalVec:
-    """``a * 2**scale + b`` in lowest terms; ``b`` is zero when omitted.
+    """``sign * a * 2**scale + b`` in lowest terms, ``sign`` 1 or -1; ``b`` is zero when omitted.
 
     Both terms go over their common denominator ``2**exp``, ``exp`` the
     largest of ``a.denom_exp - scale``, ``b.denom_exp`` and 0: the term over
@@ -66,11 +67,11 @@ def _shifted_sum(
     if up > MAX_SHIFT:
         raise _too_wide(up)
     if b is None:
-        nums = tuple([c << up for c in a.numerators]) if up else a.numerators
+        nums = tuple([sign * c << up for c in a.numerators])
     elif a_exp < b_exp:
-        nums = tuple([(x << up) + y for x, y in zip(a.numerators, b.numerators)])
+        nums = tuple([(sign * x << up) + y for x, y in zip(a.numerators, b.numerators)])
     else:
-        nums = tuple([x + (y << up) for x, y in zip(a.numerators, b.numerators)])
+        nums = tuple([sign * x + (y << up) for x, y in zip(a.numerators, b.numerators)])
     if exp:
         nums, exp = _normalize(nums, exp)
     return DyadicRationalVec._make((nums, exp))
@@ -101,12 +102,13 @@ class DyadicRationalVec(namedtuple("DyadicRationalVec", "numerators denom_exp"))
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def __new__(cls, numerators: tuple[int, ...], denom_exp: int = 0) -> DyadicRationalVec:
-        nums = tuple(int(c) for c in numerators)
+        nums = tuple(map(operator.index, numerators))
+        denom_exp = operator.index(denom_exp)
         if len(nums) < 1:
             raise ValueError("dimension must be at least 1")
         if denom_exp < 0:
             raise ValueError("denom_exp must be nonnegative")
-        return tuple.__new__(cls, _normalize(nums, int(denom_exp)))
+        return tuple.__new__(cls, _normalize(nums, denom_exp))
 
     @classmethod
     def zero(cls, dim: int) -> DyadicRationalVec:
@@ -137,7 +139,7 @@ class DyadicRationalVec(namedtuple("DyadicRationalVec", "numerators denom_exp"))
         return DyadicRationalVec._make((tuple(-c for c in self.numerators), self.denom_exp))
 
     def __sub__(self, other: DyadicRationalVec) -> DyadicRationalVec:
-        return self + (-other)
+        return _shifted_sum(other, 0, self, -1)
 
 
 class WaveletIndex(namedtuple("WaveletIndex", "gen scale shift")):
@@ -151,6 +153,7 @@ class WaveletIndex(namedtuple("WaveletIndex", "gen scale shift")):
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def __new__(cls, gen: int, scale: int, shift: DyadicRationalVec) -> WaveletIndex:
+        gen, scale = operator.index(gen), operator.index(scale)
         top = (1 << shift.dim) - 1
         if not 1 <= gen <= top:
             raise ValueError(f"generator {gen} out of range [1, {top}]")
@@ -181,14 +184,14 @@ class DyadicAffine(namedtuple("DyadicAffine", "scale shift")):
 
 
 def compose(inner: DyadicAffine, outer: DyadicAffine) -> DyadicAffine:
-    """The map sending x to outer(inner(x))."""
+    """The map sending x to outer(inner(x)); either frame may be an index."""
     shift = _shifted_sum(inner.shift, outer.scale, outer.shift)
     return DyadicAffine(inner.scale + outer.scale, shift)
 
 
 def invert(tau: DyadicAffine) -> DyadicAffine:
-    """The map sigma with compose(tau, sigma) = compose(sigma, tau) = identity."""
-    return DyadicAffine(-tau.scale, _shifted_sum(-tau.shift, -tau.scale))
+    """The sigma with compose(tau, sigma) = compose(sigma, tau) = identity; tau may be an index."""
+    return DyadicAffine(-tau.scale, _shifted_sum(tau.shift, -tau.scale, None, -1))
 
 
 def magnitude(tau: DyadicAffine) -> float:
@@ -235,9 +238,9 @@ def relative_map(anchor: DyadicAffine, target: DyadicAffine) -> DyadicAffine:
     For anchor (j0, k0) and target (j, k) this is the map with scale j - j0 and
     shift k - 2**(j - j0) * k0; it is the map tau with
     compose(anchor, tau) == target.  Both frames must have integral shifts,
-    which keeps the arithmetic on integers.
+    which keeps the arithmetic on integers; either may be a lattice index.
     """
     if anchor.shift.denom_exp or target.shift.denom_exp:
         raise ValueError("relative_map needs frames with integral shifts")
     delta = target.scale - anchor.scale
-    return DyadicAffine(delta, _shifted_sum(-anchor.shift, delta, target.shift))
+    return DyadicAffine(delta, _shifted_sum(anchor.shift, delta, target.shift, -1))

@@ -268,11 +268,10 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
             diagnostics.append(
                 f"iterate {next_rank}: tail amplitude spread {spread:.6e} exceeds conv_tol"
             )
-        params = {n: DyadicAffine(tops[n][0].scale, tops[n][0].shift) for n in retained}
 
         ambiguous = False
         for anchors, members in groups:
-            tail_rel = [relative_map(anchors[n], params[n]) for n in tail]
+            tail_rel = [relative_map(anchors[n], tops[n][0]) for n in tail]
             constant = tail_rel[0]
             if all(r == constant for r in tail_rel) and magnitude(constant) <= config.bound_threshold:
                 # ``tail`` is the suffix of ``retained`` and all its maps equal
@@ -281,7 +280,7 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
                 narrow(
                     [
                         n for n in retained[:-window]
-                        if relative_map(anchors[n], params[n]) == constant
+                        if relative_map(anchors[n], tops[n][0]) == constant
                     ] + tail,
                     "relative-map constancy dropped {} indices",
                 )
@@ -297,7 +296,8 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
                 ambiguous = True
         else:
             origin = WaveletIndex._make((modal_gen, 0, DyadicRationalVec.zero(dim)))
-            groups.append((params, [GroupMember(origin, limit_amp, next_rank)]))
+            anchors = {n: DyadicAffine(tops[n][0].scale, tops[n][0].shift) for n in retained}
+            groups.append((anchors, [GroupMember(origin, limit_amp, next_rank)]))
             if ambiguous:
                 diagnostics.append(
                     f"iterate {next_rank}: ambiguous relative parameters, "

@@ -17,6 +17,7 @@ reproducible from the seed alone, independent of the host platform.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -87,8 +88,8 @@ class ParamLaw:
         if self.kind not in LAW_KINDS:
             raise ValueError(f"unknown law kind {self.kind!r}")
         velocity = self.velocity or (0,) * len(self.k0)
-        object.__setattr__(self, "k0", tuple(int(c) for c in self.k0))
-        object.__setattr__(self, "velocity", tuple(int(c) for c in velocity))
+        object.__setattr__(self, "k0", tuple(map(operator.index, self.k0)))
+        object.__setattr__(self, "velocity", tuple(map(operator.index, velocity)))
         if len(self.velocity) != len(self.k0):
             raise ValueError("velocity dimension does not match k0")
         moving = any(self.velocity)
@@ -199,10 +200,6 @@ def validate_spec(spec: SyntheticSpec) -> None:
     _noise_frame(spec, (f for n in range(1, spec.n_count + 1) for f in _placed(spec, n)))
 
 
-def _entry_affine(index: WaveletIndex) -> DyadicAffine:
-    return DyadicAffine(index.scale, index.shift)
-
-
 def _reframed_groups(spec: SyntheticSpec, retained: tuple[int, ...]) -> list[ProfileGroup]:
     """Planted profiles rewritten in the frame of their dominant component.
 
@@ -213,11 +210,11 @@ def _reframed_groups(spec: SyntheticSpec, retained: tuple[int, ...]) -> list[Pro
     staged = []
     for planted in spec.profiles:
         anchor_index, _ = rank(planted.field)[0]
-        sigma = _entry_affine(anchor_index)
-        profile = transform(planted.field, invert(sigma))
-        anchors = {
-            n: _entry_affine(act_on_index(planted.law.params(n), anchor_index)) for n in retained
-        }
+        profile = transform(planted.field, invert(anchor_index))
+        anchors = {}
+        for n in retained:
+            _, scale, shift = act_on_index(planted.law.params(n), anchor_index)
+            anchors[n] = DyadicAffine(scale, shift)
         members = [(i, profile.entries[i]) for i in sorted(profile, key=order_key(profile))]
         staged.append((anchors, members, profile))
 
@@ -360,7 +357,7 @@ def _try_match(
     for f_index in sorted(found_group.profile.entries, key=order_key(found_group.profile)):
         if f_index.gen != truth_top.gen:
             continue
-        sigma = compose(_entry_affine(truth_top), invert(_entry_affine(f_index)))
+        sigma = compose(truth_top, invert(f_index))
         mapped = transform(found_group.profile, sigma)
         if set(mapped.entries) != set(truth_group.profile.entries):
             continue

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import tracemalloc
 from fractions import Fraction
 
@@ -97,6 +98,24 @@ class TestNormalization:
             DyadicRationalVec((), 0)
         with pytest.raises(ValueError):
             DyadicRationalVec((1,), -1)
+
+    @pytest.mark.parametrize("build", [
+        lambda: DyadicRationalVec((1.5,)),
+        lambda: DyadicRationalVec((2,), 1.9),
+        lambda: DyadicRationalVec(("7",)),
+        lambda: WaveletIndex(1.0, 0, vec(0)),
+        lambda: WaveletIndex(1, 0.5, vec(0)),
+    ], ids=["float-numerator", "float-denom-exp", "str-numerator", "float-gen", "float-scale"])
+    def test_rejects_non_integers(self, build):
+        # Truncating 1.5 to 1 or parsing "7" would make another index.
+        with pytest.raises(TypeError):
+            build()
+
+    def test_numpy_integers_become_ints(self):
+        v = DyadicRationalVec((np.int64(6),), np.int32(1))
+        index = WaveletIndex(np.int64(1), np.int16(-2), v)
+        assert v == vec(3) and type(v.numerators[0]) is int and type(v.denom_exp) is int
+        assert type(index.gen) is int and type(index.scale) is int
 
     def test_scaling_is_exact(self):
         assert vec(3).scaled_by_pow2(2) == vec(12)
@@ -301,6 +320,56 @@ class TestRelativeMap:
                 relative_map(anchor, target)
             with pytest.raises(ValueError, match="integral shifts"):
                 orthogonality_gap(anchor, target)
+
+
+class TestFramesFromIndices:
+    """A frame argument may be an index, read as the frame of its basis element."""
+
+    @given(st.data())
+    def test_index_reads_as_its_frame(self, data):
+        dim = data.draw(st.integers(1, 3))
+        frame = data.draw(affines(dim))
+        scale, shift = data.draw(affines(dim))
+        index = WaveletIndex(data.draw(st.integers(1, (1 << dim) - 1)), scale, shift)
+        as_frame = DyadicAffine(index.scale, index.shift)
+        assert invert(index) == invert(as_frame)
+        assert compose(frame, index) == compose(frame, as_frame)
+        assert compose(index, frame) == compose(as_frame, frame)
+        if frame.shift.is_integral and index.on_lattice:
+            assert relative_map(frame, index) == relative_map(frame, as_frame)
+            assert relative_map(index, frame) == relative_map(as_frame, frame)
+        else:
+            with pytest.raises(ValueError, match="integral shifts"):
+                relative_map(frame, index)
+
+
+class TestOneVectorPerFrameOperation:
+    """Each operation builds its result vector only: no negated copy on the way."""
+
+    @pytest.mark.parametrize("operation, args", [
+        (relative_map, (aff(1, 3, -2), aff(4, 5, 7))),
+        (relative_map, (aff(4, 5, 7), aff(1, 3, -2))),
+        (orthogonality_gap, (aff(1, 3), aff(4, 5))),
+        (invert, (aff(2, 3, e=1),)),
+        (operator.sub, (vec(1, 6, e=2), vec(3, 1))),
+        (compose, (aff(1, 3, e=1), aff(2, 5))),
+        (act_on_index, (aff(1, 3), WaveletIndex(1, 2, vec(5, e=1)))),
+        (operator.add, (vec(1, 6, e=2), vec(3, 1))),
+        (DyadicRationalVec.scaled_by_pow2, (vec(3, e=1), 2)),
+    ], ids=[
+        "relative-up", "relative-down", "gap", "invert", "sub", "compose", "act", "add", "scaled",
+    ])
+    def test_builds_one_vector(self, monkeypatch, operation, args):
+        made = []
+        original = DyadicRationalVec._make
+
+        def counted(cls, fields):
+            made.append(fields)
+            return original(fields)
+
+        monkeypatch.setattr(DyadicRationalVec, "_make", classmethod(counted))
+        operation(*args)
+        assert len(made) == 1
 
 
 _WIDE = MAX_SHIFT + 1

@@ -896,3 +896,20 @@ class TestOneInputNormPass:
         with pytest.raises(TypeError):
             Decomposition(dec.dim, dec.p, dec.inputs, dec.groups, dec.retained, (),
                           input_norms=dec.input_norms)
+
+
+class TestAnchorFrames:
+    def test_frames_are_built_only_when_a_group_opens(self, monkeypatch):
+        fields = _cross_shaped_corpus()
+        built = []
+
+        def counted(scale, shift):
+            built.append(scale)
+            return DyadicAffine(scale, shift)
+
+        monkeypatch.setattr(extract, "DyadicAffine", counted)
+        dec = extract_profiles(fields, lp_config(max_iterations=8, tail_window=3))
+        # A group opens with one anchor frame per retained input; the
+        # iterates compare top indices with the anchors as they are.
+        assert len(dec.groups) == 3
+        assert len(built) <= len(dec.groups) * len(fields)

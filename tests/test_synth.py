@@ -57,6 +57,13 @@ class TestParamLaw:
         law = ParamLaw("mixed", 1, (2,), velocity=(3,), scale_step=-1)
         assert law.params(4) == lattice_frame(-3, 14)
 
+    def test_rejects_non_integers(self):
+        # Truncated, (1.5,) and (2.7,) would give shift 3 at n = 1.
+        with pytest.raises(TypeError):
+            ParamLaw("translation", 0, (1.5,), velocity=(2,))
+        with pytest.raises(TypeError):
+            ParamLaw("translation", 0, (1,), velocity=(2.7,))
+
 
 class TestValidation:
     def test_non_divergent_laws_rejected(self):
