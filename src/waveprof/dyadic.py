@@ -7,10 +7,10 @@ derived magnitudes (Euclidean norms).
 
 The three value types are named tuples: hashing, equality and field access
 run in C, and the hash is that of the field tuple.  The public constructors
-of the two index types check and normalise; ``_make`` takes fields the
-caller already knows to be valid and in lowest terms, such as the results of
-exact arithmetic on valid values.  None of the types is ordered: indices are
-sorted by :func:`waveprof.field.order_key` only.
+of all three types check, and the vector's also normalises; ``_make`` takes
+fields the caller already knows to be valid and in lowest terms, such as the
+results of exact arithmetic on valid values.  None of the types is ordered:
+indices are sorted by :func:`waveprof.field.order_key` only.
 
 Every exact sum, difference and rescaling runs through one core,
 ``_shifted_sum``, which returns ``±a * 2**s + b`` and is the only place that
@@ -174,6 +174,11 @@ class DyadicAffine(namedtuple("DyadicAffine", "scale shift")):
     __slots__ = ()
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
+    def __new__(cls, scale: int, shift: DyadicRationalVec) -> DyadicAffine:
+        if not isinstance(shift, DyadicRationalVec):
+            raise TypeError(f"shift must be a DyadicRationalVec, not {type(shift).__name__}")
+        return tuple.__new__(cls, (operator.index(scale), shift))
+
     @classmethod
     def identity(cls, dim: int) -> DyadicAffine:
         return cls(0, DyadicRationalVec.zero(dim))
@@ -186,12 +191,12 @@ class DyadicAffine(namedtuple("DyadicAffine", "scale shift")):
 def compose(inner: DyadicAffine, outer: DyadicAffine) -> DyadicAffine:
     """The map sending x to outer(inner(x)); either frame may be an index."""
     shift = _shifted_sum(inner.shift, outer.scale, outer.shift)
-    return DyadicAffine(inner.scale + outer.scale, shift)
+    return DyadicAffine._make((inner.scale + outer.scale, shift))
 
 
 def invert(tau: DyadicAffine) -> DyadicAffine:
     """The sigma with compose(tau, sigma) = compose(sigma, tau) = identity; tau may be an index."""
-    return DyadicAffine(-tau.scale, _shifted_sum(tau.shift, -tau.scale, None, -1))
+    return DyadicAffine._make((-tau.scale, _shifted_sum(tau.shift, -tau.scale, None, -1)))
 
 
 def magnitude(tau: DyadicAffine) -> float:
@@ -243,4 +248,4 @@ def relative_map(anchor: DyadicAffine, target: DyadicAffine) -> DyadicAffine:
     if anchor.shift.denom_exp or target.shift.denom_exp:
         raise ValueError("relative_map needs frames with integral shifts")
     delta = target.scale - anchor.scale
-    return DyadicAffine(delta, _shifted_sum(anchor.shift, delta, target.shift, -1))
+    return DyadicAffine._make((delta, _shifted_sum(anchor.shift, delta, target.shift, -1)))

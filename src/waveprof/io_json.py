@@ -402,10 +402,7 @@ def synthetic_spec_from_obj(obj: Any) -> SyntheticSpec:
     dim = _get(obj, "dimension", "spec", int)
     p = _get(obj, "p", "spec", float)
     profiles = []
-    raw_profiles = _get(obj, "profiles", "spec", list)
-    if not raw_profiles:
-        raise ValueError("spec requires a nonempty profile list")
-    for raw in raw_profiles:
+    for raw in _get(obj, "profiles", "spec", list):
         raw = _check(raw, "spec profile", dict)
         field = _entries_from_obj(raw, "entries", dim, p)
         law = _law_from_obj(_get(raw, "law", "spec profile", dict))

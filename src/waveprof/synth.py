@@ -29,9 +29,9 @@ from .dyadic import (
     WaveletIndex,
     _too_wide,
     act_on_index,
-    compose,
     invert,
     orthogonality_gap,
+    relative_map,
 )
 from .extract import Decomposition, GroupMember, ProfileGroup
 from .field import CoeffField, combine, order_key, rank, transform
@@ -88,6 +88,8 @@ class ParamLaw:
         if self.kind not in LAW_KINDS:
             raise ValueError(f"unknown law kind {self.kind!r}")
         velocity = self.velocity or (0,) * len(self.k0)
+        object.__setattr__(self, "j0", operator.index(self.j0))
+        object.__setattr__(self, "scale_step", operator.index(self.scale_step))
         object.__setattr__(self, "k0", tuple(map(operator.index, self.k0)))
         object.__setattr__(self, "velocity", tuple(map(operator.index, velocity)))
         if len(self.velocity) != len(self.k0):
@@ -207,32 +209,26 @@ def _reframed_groups(spec: SyntheticSpec, retained: tuple[int, ...]) -> list[Pro
     (ranking tie-break), so the group invariantly starts with the identity
     relative map, matching what an extractor produces.
     """
-    staged = []
-    for planted in spec.profiles:
+    staged = []  # each group's anchors and profile
+    flat = []  # (group, index, amp) by group, each group's members in canonical index order
+    for gi, planted in enumerate(spec.profiles):
         anchor_index, _ = rank(planted.field)[0]
         profile = transform(planted.field, invert(anchor_index))
         anchors = {}
         for n in retained:
             _, scale, shift = act_on_index(planted.law.params(n), anchor_index)
             anchors[n] = DyadicAffine(scale, shift)
-        members = [(i, profile.entries[i]) for i in sorted(profile, key=order_key(profile))]
-        staged.append((anchors, members, profile))
+        staged.append((anchors, profile))
+        flat += [(gi, i, profile.entries[i]) for i in sorted(profile, key=order_key(profile))]
 
-    flat = [
-        (-abs(amp), gi, mi)
-        for gi, (_, members, _) in enumerate(staged)
-        for mi, (_, amp) in enumerate(members)
+    # Largest |amplitude| first; the sort is stable, so ties keep group, then member order.
+    members: list[list[GroupMember]] = [[] for _ in staged]
+    for position, (gi, index, amp) in enumerate(sorted(flat, key=lambda m: -abs(m[2])), start=1):
+        members[gi].append(GroupMember(index, amp, position))
+    return [
+        ProfileGroup(anchors, tuple(group_members), profile)
+        for (anchors, profile), group_members in zip(staged, members)
     ]
-    ranks = {key[1:]: pos + 1 for pos, key in enumerate(sorted(flat))}
-
-    groups = []
-    for gi, (anchors, members, profile) in enumerate(staged):
-        ordered = sorted(
-            (GroupMember(index, amp, ranks[(gi, mi)]) for mi, (index, amp) in enumerate(members)),
-            key=lambda m: m.rank,
-        )
-        groups.append(ProfileGroup(anchors, tuple(ordered), profile))
-    return groups
 
 
 def _noise_frame(spec: SyntheticSpec, placed: Iterable[CoeffField]) -> tuple[int, int, int]:
@@ -353,56 +349,53 @@ class AlignmentReport:
 def _try_match(
     found_group: ProfileGroup, truth_group: ProfileGroup, ns: list[int]
 ) -> tuple[DyadicAffine, float] | None:
-    truth_top, _ = rank(truth_group.profile)[0]
-    for f_index in sorted(found_group.profile.entries, key=order_key(found_group.profile)):
-        if f_index.gen != truth_top.gen:
-            continue
-        sigma = compose(truth_top, invert(f_index))
-        mapped = transform(found_group.profile, sigma)
-        if set(mapped.entries) != set(truth_group.profile.entries):
-            continue
-        if any(
-            compose(truth_group.anchor_params[n], sigma) != found_group.anchor_params[n]
-            for n in ns
-        ):
-            continue
-        deviation = max(
-            abs(amp - truth_group.profile.entries[index])
-            for index, amp in mapped.entries.items()
-        )
-        return sigma, deviation
-    return None
+    """The frame map and amplitude deviation of a match, or None.
+
+    The anchors fix the map: it is their relative map at each common index,
+    which must be one constant map carrying the found profile onto the truth
+    profile's index set.
+    """
+    maps = (
+        relative_map(truth_group.anchor_params[n], found_group.anchor_params[n]) for n in ns
+    )
+    sigma = next(maps)
+    if any(tau != sigma for tau in maps):
+        return None
+    mapped = transform(found_group.profile, sigma)
+    if mapped.entries.keys() != truth_group.profile.entries.keys():
+        return None
+    deviation = max(
+        abs(amp - truth_group.profile.entries[index]) for index, amp in mapped.entries.items()
+    )
+    return sigma, deviation
 
 
 def align_frames(found: Decomposition, truth: Decomposition) -> AlignmentReport:
     """Match extracted groups to planted ones up to a single frame map each.
 
-    A truth group matches a found group when some scale/translation map
-    carries the found profile exactly onto the truth profile (index sets
-    equal) and simultaneously reconciles the anchor parameters at every
-    retained index; amplitude differences are reported, not thresholded.
-    Matching is order-free and deterministic.
+    A truth group matches a found group when the anchors' relative map is
+    one constant map at every retained index the two share and carries the
+    found profile exactly onto the truth profile (index sets equal);
+    amplitude differences are reported, not thresholded.  Matching is
+    order-free and deterministic.  Decompositions that share no retained
+    index are rejected.
     """
     if found.dim != truth.dim or found.p != truth.p:
         raise ValueError("decompositions must share dimension and reference exponent")
     ns = sorted(set(found.retained) & set(truth.retained))
+    if not ns:
+        raise ValueError("decompositions share no retained index")
     matches: list[GroupMatch] = []
     used: set[int] = set()
     unmatched_truth: list[int] = []
     for ti, truth_group in enumerate(truth.groups):
-        hit = None
         for fi, found_group in enumerate(found.groups):
-            if fi in used:
-                continue
-            attempt = _try_match(found_group, truth_group, ns)
-            if attempt is not None:
-                hit = GroupMatch(ti, fi, attempt[0], attempt[1])
+            if fi not in used and (attempt := _try_match(found_group, truth_group, ns)):
+                matches.append(GroupMatch(ti, fi, *attempt))
                 used.add(fi)
                 break
-        if hit is None:
-            unmatched_truth.append(ti)
         else:
-            matches.append(hit)
+            unmatched_truth.append(ti)
     unmatched_found = [fi for fi in range(len(found.groups)) if fi not in used]
     return AlignmentReport(
         matches=tuple(matches),

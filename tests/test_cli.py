@@ -230,6 +230,13 @@ class TestGenerate:
         assert main(["generate", str(path), str(tmp_path / "out")]) == 2
         assert f"error: {path}: spec lacks the required key 'p'" in capsys.readouterr().err
 
+    def test_empty_profile_list_exits_2_naming_the_spec(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(dict(SPEC_OBJ, profiles=[])))
+        assert main(["generate", str(path), str(tmp_path / "out")]) == 2
+        assert f"error: {path}: at least one profile is required" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_flag_is_a_usage_error(self, tmp_path, capsys):
         # The seed lives in the spec file; no flag overrides it.
         spec_path = tmp_path / "spec.json"
@@ -389,6 +396,16 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", str(report), str(other)]) == 2
         assert "inputs do not match the stored decomposition" in capsys.readouterr().err
+
+    def test_a_missing_corpus_file_exits_2(self, corpus, capsys):
+        tmp, corpus_dir, config_path = corpus
+        report = tmp / "report.json"
+        assert main(["decompose", str(corpus_dir), "--config", str(config_path), "--out", str(report)]) == 0
+        min(corpus_dir.glob("field_*.json")).unlink()
+        capsys.readouterr()
+        assert main(["verify", str(report), str(corpus_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {report}: input count does not match the stored decomposition" in err
 
     def test_missing_sections_exit_2(self, corpus, tmp_path):
         _, corpus_dir, _ = corpus

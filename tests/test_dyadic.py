@@ -111,6 +111,18 @@ class TestNormalization:
         with pytest.raises(TypeError):
             build()
 
+    def test_frame_scale_must_be_an_integer(self):
+        # Exact arithmetic would carry a float scale into an index.
+        with pytest.raises(TypeError):
+            act_on_index(DyadicAffine(0.5, vec(1)), lattice_index(1, 0, 1))
+        frame = DyadicAffine(np.int64(2), vec(1))
+        assert frame == aff(2, 1) and type(frame.scale) is int
+
+    def test_frame_shift_must_be_a_vector(self):
+        # compose would fail on a tuple shift with AttributeError.
+        with pytest.raises(TypeError, match="shift must be a DyadicRationalVec, not tuple"):
+            DyadicAffine(0, (1,))
+
     def test_numpy_integers_become_ints(self):
         v = DyadicRationalVec((np.int64(6),), np.int32(1))
         index = WaveletIndex(np.int64(1), np.int16(-2), v)

@@ -60,6 +60,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             lp_config(stop_epsilon=0.0)
 
+    def test_lebesgue_input_exponent_below_2(self):
+        with pytest.raises(ValueError, match=r"input exponent p must satisfy 2 <= p < infinity"):
+            lp_config(p=1.5)
+
     def test_lebesgue_remainder_exponents(self):
         with pytest.raises(ValueError):
             lp_config(remainder_space=(4.0, 8.0))  # first must exceed p
@@ -552,6 +556,26 @@ class TestNestedScaleDivergence:
             # Geometric decay at rate 2**(-2/p) per step for this geometry.
             for left, right in zip(values, values[1:]):
                 assert right == pytest.approx(left * 2.0 ** (-0.5), rel=1e-9)
+
+    def test_cross_interaction_is_zero_at_p_2(self):
+        # The same nested supports interact at p = 4; at p = 2 the cross
+        # terms are vacuous and the interaction is 0.0 by convention.
+        def nested_truth(p):
+            profiles = tuple(
+                PlantedProfile(CoeffField.from_items(1, p, [(lattice_index(1, 0, 0), amp)]), law)
+                for amp, law in [
+                    (1.0, ParamLaw("constant", 0, (0,))),
+                    (0.5, ParamLaw("scaling", 0, (0,), scale_step=1)),
+                ]
+            )
+            return generate(SyntheticSpec(dim=1, p=p, profiles=profiles, n_count=4, seed=21))[1]
+
+        for p, interacts in [(4.0, True), (2.0, False)]:
+            truth = nested_truth(p)
+            for first, second in [(0, 1), (1, 0)]:
+                for n in truth.retained:
+                    value = cross_interaction(truth, first, second, n)
+                    assert (value > 0.0) if interacts else (value == 0.0)
 
 
 class TestBesovMode:

@@ -189,6 +189,10 @@ class TestSplitTop:
         head, tail = split_top(f, 0)
         assert len(head) == 0 and tail == f
 
+    def test_negative_count_is_rejected(self):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            split_top(fld(4.0, (lattice_index(1, 0, 0), 1.0)), -1)
+
     def test_example(self):
         f = fld(4.0, *[(lattice_index(1, 0, k), a) for k, a in enumerate([5.0, 3.0, 2.0, 2.0, 1.0])])
         head, tail = split_top(f, 2)

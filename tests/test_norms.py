@@ -737,6 +737,16 @@ class TestOverflow:
             norm(f)
         assert str(caught.value) == f"{name} overflows the float range"
 
+    def test_an_infinite_besov_result_is_a_value_error(self):
+        # No step overflows: 2**50 * 1e300 rounds to inf, and the check of the
+        # finished result is what rejects it.
+        f = fld(2.0, (lattice_index(1, 100, 0), 1e300))
+        params = BesovParams(1.0, 1.0, 1.0)
+        assert norms.besov_norm.__wrapped__(f, params) == math.inf
+        with pytest.raises(ValueError) as caught:
+            besov_norm(f, params)
+        assert str(caught.value) == "Besov norm overflows the float range"
+
     def test_a_scale_out_of_range_fails_before_its_corners_are_built(self):
         # The entry at scale 0 sits at resolution 10**8, where its corner is
         # a 10**8-bit integer: 12.7 MiB were allocated before the scale

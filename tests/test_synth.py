@@ -65,6 +65,16 @@ class TestParamLaw:
             ParamLaw("translation", 0, (1,), velocity=(2.7,))
 
 
+    @pytest.mark.parametrize(
+        "fields", [{"j0": 0.5}, {"scale_step": 0.5}], ids=["float-j0", "float-scale-step"]
+    )
+    def test_rejects_non_integer_scales(self, fields):
+        # A j0 of 0.5 would give the frame at n = 1 scale 1.5.
+        law = dict(kind="scaling", j0=0, k0=(0,), scale_step=1) | fields
+        with pytest.raises(TypeError):
+            ParamLaw(**law)
+
+
 class TestValidation:
     def test_non_divergent_laws_rejected(self):
         spec = simple_spec(
@@ -100,6 +110,46 @@ class TestValidation:
     def test_noise_fields_must_pair(self):
         with pytest.raises(ValueError):
             validate_spec(simple_spec(noise_amp=1e-3))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"n_count": 0}, "n_count must be at least 1"),
+            ({"profiles": ()}, "at least one profile is required"),
+            ({"noise_count": -1}, "noise count must be nonnegative"),
+            (
+                {"profiles": (PlantedProfile(
+                    CoeffField.from_items(1, 2.0, [(lattice_index(1, 0, 0), 1.0)]),
+                    ParamLaw("constant", 0, (0,)),
+                ),)},
+                "profile dimension or exponent does not match the spec",
+            ),
+            (
+                {"profiles": (PlantedProfile(
+                    CoeffField.from_items(1, 4.0, []), ParamLaw("constant", 0, (0,))
+                ),)},
+                "profiles must be nonempty",
+            ),
+            (
+                {"profiles": (PlantedProfile(unit_profile(), ParamLaw("constant", 0, (0, 0))),)},
+                "law dimension does not match the spec",
+            ),
+            (
+                {"n_count": synth.MAX_GENERATED_ENTRIES},
+                "n_count times (planted entries + noise count) exceeds "
+                f"{synth.MAX_GENERATED_ENTRIES}",
+            ),
+            ({"n_count": 1}, "divergence of several laws needs n_count >= 2"),
+        ],
+        ids=[
+            "n-count", "no-profiles", "noise-count", "profile-exponent", "empty-profile",
+            "law-dimension", "generated-entries", "one-index",
+        ],
+    )
+    def test_rejections_name_the_fault(self, overrides, message):
+        with pytest.raises(ValueError) as caught:
+            validate_spec(simple_spec(**overrides))
+        assert str(caught.value) == message
 
     def test_too_many_profile_pairs_are_rejected_before_any_gap(self, monkeypatch):
         # 1000 one-entry profiles at n_count 2 make 999000 law gaps, about 10 s
@@ -380,6 +430,61 @@ class TestAlignFrames:
         report = align_frames(only_first, truth)
         assert not report.complete
         assert report.unmatched_truth == (1,)
+
+    def test_anchors_moved_by_a_varying_map_are_unmatched(self):
+        _, truth = generate(simple_spec())
+        anchors = dict(truth.groups[0].anchor_params)
+        last = max(anchors)
+        anchors[last] = compose(anchors[last], lattice_frame(0, 1))
+        moved = dataclasses.replace(truth.groups[0], anchor_params=anchors)
+        found = dataclasses.replace(truth, groups=(moved,) + truth.groups[1:])
+        report = align_frames(found, truth)
+        assert [(m.truth_index, m.found_index) for m in report.matches] == [(1, 1)]
+        assert report.unmatched_truth == (0,) and report.unmatched_found == (0,)
+
+    def test_a_profile_off_the_truth_profile_is_unmatched(self):
+        # The anchors agree (identity map), but the profile sits one step over.
+        _, truth = generate(simple_spec())
+        off = CoeffField.from_items(1, 4.0, [(lattice_index(1, 0, 1), 1.0)])
+        moved = dataclasses.replace(truth.groups[0], profile=off)
+        found = dataclasses.replace(truth, groups=(moved,) + truth.groups[1:])
+        report = align_frames(found, truth)
+        assert [(m.truth_index, m.found_index) for m in report.matches] == [(1, 1)]
+        assert report.unmatched_truth == (0,) and report.unmatched_found == (0,)
+
+    def test_no_common_retained_index_is_rejected(self):
+        # Without a shared index nothing fixes the frame map.
+        _, truth = generate(simple_spec())
+        found = dataclasses.replace(truth, retained=())
+        with pytest.raises(ValueError, match="decompositions share no retained index"):
+            align_frames(found, truth)
+
+    def test_one_transform_per_pair_tried(self, monkeypatch):
+        # The top entry (shift 1) is not the first in canonical order, and
+        # both entries share its generator.
+        pair = CoeffField.from_items(
+            1, 4.0, [(lattice_index(1, 0, 0), 0.5), (lattice_index(1, 0, 1), 1.0)]
+        )
+        spec = simple_spec(
+            profiles=(PlantedProfile(pair, ParamLaw("constant", 0, (0,))),)
+            + simple_spec().profiles[1:]
+        )
+        _, truth = generate(spec)
+        found = dataclasses.replace(truth, groups=tuple(reversed(truth.groups)))
+        counts = {"tries": 0, "transforms": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(synth, "_try_match", counting("tries", synth._try_match))
+        monkeypatch.setattr(synth, "transform", counting("transforms", synth.transform))
+        report = align_frames(found, truth)
+        assert report.complete and report.max_amplitude_deviation == 0.0
+        assert counts["tries"] == 3
+        assert counts["transforms"] <= counts["tries"]
 
     def test_dimension_mismatch(self):
         _, truth = generate(simple_spec())
