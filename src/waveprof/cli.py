@@ -8,6 +8,7 @@ internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from contextlib import contextmanager
@@ -83,11 +84,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     # One width for every name, so that the sorted names are in sequence order.
     width = max(4, len(str(len(fields))))
     for n, field in enumerate(fields, start=1):
-        _write_text(out_dir / f"field_{n:0{width}d}.json", dumps_canonical(field_to_obj(field)))
-    _write_text(
-        out_dir / "truth.json",
-        dumps_canonical({"decomposition": decomposition_to_obj(truth)}),
-    )
+        path = out_dir / f"field_{n:0{width}d}.json"
+        path.write_text(dumps_canonical(field_to_obj(field)), encoding="utf-8")
+    truth_obj = {"decomposition": decomposition_to_obj(truth)}
+    (out_dir / "truth.json").write_text(dumps_canonical(truth_obj), encoding="utf-8")
     print(f"wrote {len(fields)} field files and truth.json to {out_dir}")
     return 0
 
@@ -187,6 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command makes no garbage cycle, so the cyclic collector pauses until it ends.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except ValueError as exc:
@@ -195,6 +198,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:  # invariant breach or environment failure
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -7,10 +7,11 @@ derived magnitudes (Euclidean norms).
 
 The three value types are named tuples: hashing, equality and field access
 run in C, and the hash is that of the field tuple.  The public constructors
-of all three types check, and the vector's also normalises; ``_make`` takes
-fields the caller already knows to be valid and in lowest terms, such as the
-results of exact arithmetic on valid values.  None of the types is ordered:
-indices are sorted by :func:`waveprof.field.order_key` only.
+check, the vector's also normalises, and the JSON loaders share their value
+checks ``_lowest`` and ``_generator``; ``_make``, ``tuple.__new__`` itself,
+takes fields known to be valid and in lowest terms, such as the results of
+exact arithmetic on valid values.  None of the types is ordered: indices are
+sorted by :func:`waveprof.field.order_key` only.
 
 Every exact sum, difference and rescaling runs through one core,
 ``_shifted_sum``, which returns ``±a * 2**s + b`` and is the only place that
@@ -34,11 +35,16 @@ def _too_wide(bits: int) -> ValueError:
     return ValueError(f"exact index arithmetic needs a shift of {bits} bits, more than {MAX_SHIFT}")
 
 
-def _normalize(numerators: tuple[int, ...], denom_exp: int) -> tuple[tuple[int, ...], int]:
+def _lowest(numerators: tuple[int, ...], denom_exp: int) -> tuple[tuple[int, ...], int]:
+    """The fields of the vector ``numerators / 2**denom_exp``, checked and in lowest terms."""
+    if not numerators:
+        raise ValueError("dimension must be at least 1")
+    if denom_exp < 0:
+        raise ValueError("denom_exp must be nonnegative")
     # Unique representation: either denom_exp == 0 or some numerator is odd.
     # The common power of two, the lowest set bit of the numerators' OR, is
     # divided out in one step, so a huge denom_exp costs no more than 1.
-    if denom_exp > 0:
+    if denom_exp:
         common = 0
         for n in numerators:
             common |= n
@@ -47,6 +53,13 @@ def _normalize(numerators: tuple[int, ...], denom_exp: int) -> tuple[tuple[int, 
             numerators = tuple(n >> step for n in numerators)
             denom_exp -= step
     return numerators, denom_exp
+
+
+def _generator(gen: int, dim: int) -> int:
+    """``gen`` when it is a generator in ``dim`` dimensions, 1 to ``2**dim - 1``."""
+    if not 0 < gen < 1 << dim:
+        raise ValueError(f"generator {gen} out of range [1, {(1 << dim) - 1}]")
+    return gen
 
 
 def _shifted_sum(
@@ -73,7 +86,7 @@ def _shifted_sum(
     else:
         nums = tuple([sign * x + (y << up) for x, y in zip(a.numerators, b.numerators)])
     if exp:
-        nums, exp = _normalize(nums, exp)
+        nums, exp = _lowest(nums, exp)
     return DyadicRationalVec._make((nums, exp))
 
 
@@ -100,15 +113,11 @@ class DyadicRationalVec(namedtuple("DyadicRationalVec", "numerators denom_exp"))
 
     __slots__ = ()
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
+    _make = classmethod(tuple.__new__)
 
     def __new__(cls, numerators: tuple[int, ...], denom_exp: int = 0) -> DyadicRationalVec:
         nums = tuple(map(operator.index, numerators))
-        denom_exp = operator.index(denom_exp)
-        if len(nums) < 1:
-            raise ValueError("dimension must be at least 1")
-        if denom_exp < 0:
-            raise ValueError("denom_exp must be nonnegative")
-        return tuple.__new__(cls, _normalize(nums, denom_exp))
+        return tuple.__new__(cls, _lowest(nums, operator.index(denom_exp)))
 
     @classmethod
     def zero(cls, dim: int) -> DyadicRationalVec:
@@ -151,13 +160,11 @@ class WaveletIndex(namedtuple("WaveletIndex", "gen scale shift")):
 
     __slots__ = ()
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
+    _make = classmethod(tuple.__new__)
 
     def __new__(cls, gen: int, scale: int, shift: DyadicRationalVec) -> WaveletIndex:
         gen, scale = operator.index(gen), operator.index(scale)
-        top = (1 << shift.dim) - 1
-        if not 1 <= gen <= top:
-            raise ValueError(f"generator {gen} out of range [1, {top}]")
-        return tuple.__new__(cls, (gen, scale, shift))
+        return tuple.__new__(cls, (_generator(gen, shift.dim), scale, shift))
 
     @property
     def dim(self) -> int:
@@ -173,6 +180,7 @@ class DyadicAffine(namedtuple("DyadicAffine", "scale shift")):
 
     __slots__ = ()
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
+    _make = classmethod(tuple.__new__)
 
     def __new__(cls, scale: int, shift: DyadicRationalVec) -> DyadicAffine:
         if not isinstance(shift, DyadicRationalVec):

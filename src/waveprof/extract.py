@@ -29,7 +29,9 @@ from .dyadic import (
     relative_map,
 )
 from .field import CoeffField, combine, rank, transform
-from .norms import BesovParams, _cross_table, _lp_of, besov_norm, cross_square_pair, lp_norm
+from .norms import (
+    BesovParams, _besov_update, _cross_table, _lp_of, besov_norm, cross_square_pair, lp_norm
+)
 
 STABILITY_TOL = 1e-9
 
@@ -479,34 +481,42 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
     rem_norms: list[list[float]] = [[] for _ in levels]
     excess: list[list[float]] = [[] for _ in levels]
     table = [[[0.0] * len(ns) for _ in range(groups)] for _ in range(groups)]
+    rem_params = BesovParams.critical(dec.dim, space.p, *config.remainder_space)
     for pos, n in enumerate(ns):
         placed = [transform(g.profile, g.anchor_params[n]) for g in dec.groups]
-        given = dec.inputs[n]
-        source = given.entries
+        source = dec.inputs[n].entries
         # From one level to the next the partial sum and the remainder change
         # only on the support of the profile added, so only those entries are
         # recomputed, with the float operations of :func:`remainder`: the
         # input minus the :func:`reconstruct` sum, exact zeros dropped.  A
-        # zero kept in ``partial`` adds exactly like an absent entry, and the
-        # norms do not depend on entry order.
+        # zero kept in ``partial`` adds exactly like an absent entry.  The
+        # remainder is kept by scale, and only touched scales' terms are redone.
         partial: dict[WaveletIndex, float] = {}
-        rem = dict(source)
+        rem: dict[int, dict[WaveletIndex, float]] = {}
+        for index, amp in source.items():
+            rem.setdefault(index.scale, {})[index] = amp
+        terms: dict[int, float] = {}
+        changed = {j: part.values() for j, part in rem.items()}
         for level in levels:
             if level:
+                changed = {}
                 for index, amp in placed[level - 1].entries.items():
                     total = partial.get(index, 0.0) + amp
                     partial[index] = total
                     value = source.get(index, 0.0) - total
                     if not math.isfinite(value):
                         raise ValueError("amplitudes must be finite")
+                    part = rem.setdefault(index.scale, {})
+                    changed[index.scale] = part.values()
                     if value != 0.0:
-                        rem[index] = value
+                        part[index] = value
                     else:
-                        rem.pop(index, None)
-            current = CoeffField._unchecked(given.dim, given.p, dict(rem))
-            rem_norms[level].append(remainder_space_norm(current, config))
+                        part.pop(index, None)
+            rem_norms[level].append(_besov_update(terms, changed, dec.dim, dec.p, rem_params))
             # At level 0 the remainder is the input: its excess is 0.0, unmeasured.
             if level and pos >= tail_start:
+                whole = {index: v for part in rem.values() for index, v in part.items()}
+                current = CoeffField._unchecked(dec.dim, dec.p, whole)
                 excess[level].append(input_space_norm(current, space) - input_norms[pos])
         if dec.p != 2.0:
             values = iter(_cross_table(placed))

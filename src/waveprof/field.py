@@ -76,7 +76,7 @@ class CoeffField:
         for index, amp in items:
             if index in out:
                 raise ValueError(f"duplicate index {index}")
-            if index.dim != dim:
+            if len(index.shift.numerators) != dim:
                 raise ValueError("index dimension does not match field dimension")
             value = float(amp)
             if value == 0.0:

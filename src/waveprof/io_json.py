@@ -14,7 +14,7 @@ from collections.abc import Mapping
 from json.encoder import encode_basestring as _encode_str
 from typing import Any
 
-from .dyadic import DyadicAffine, DyadicRationalVec, WaveletIndex
+from .dyadic import DyadicAffine, DyadicRationalVec, WaveletIndex, _generator, _lowest
 from .extract import (
     BesovInput,
     Decomposition,
@@ -91,6 +91,7 @@ def _as_float(value: Any, what: str = "value") -> float:
 
 _KINDS = {int: "an integer", list: "a list", dict: "an object", str: "a string"}
 _REQUIRED = object()
+_INT_ONLY = frozenset([int])  # holds the types of a shift's components when all are ints
 
 
 def _check(value: Any, what: str, kind: type) -> Any:
@@ -143,17 +144,25 @@ def _index_obj(index: WaveletIndex, gen: str, scale: str, shift: str, **rest: An
     }
 
 
-def _index_from_obj(
-    obj: Mapping, dim: int, what: str, gen: str, scale: str, shift: str
-) -> WaveletIndex:
-    """The index written by :func:`_index_obj`; keys are read shift first, scale last."""
-    vec = DyadicRationalVec(_shift(obj, shift, dim, what), _get(obj, "denom_exp", what, int, 0))
-    return WaveletIndex(_get(obj, gen, what, int), _get(obj, scale, what, int), vec)
+def _entry_from_obj(
+    obj: Any, dim: int, what: str = "entry", keys: tuple[str, ...] = ("i", "j", "k", "amp")
+) -> tuple[WaveletIndex, float]:
+    """The index and amplitude :func:`_index_obj` writes under ``keys``; the shift is read first.
 
-
-def _entry_from_obj(obj: Any, dim: int) -> tuple[WaveletIndex, float]:
-    obj = _check(obj, "entry", dict)
-    return _index_from_obj(obj, dim, "entry", "i", "j", "k"), _get(obj, "amp", "entry", float)
+    Each type is tested once; :func:`_shift` and :func:`_get` only name a value that fails.
+    """
+    obj = obj if type(obj) is dict else _check(obj, what, dict)
+    gen, scale, shift, amp = keys
+    nums, exp = obj.get(shift), obj.get("denom_exp", 0)
+    if not (type(nums) is list and len(nums) == dim and type(exp) is int
+            and _INT_ONLY.issuperset(map(type, nums))):
+        nums, exp = _shift(obj, shift, dim, what), _get(obj, "denom_exp", what, int, 0)
+    vec = DyadicRationalVec._make(_lowest(tuple(nums), exp))
+    g, j, a = obj.get(gen), obj.get(scale), obj.get(amp)
+    if type(g) is not int or type(j) is not int:
+        g, j = _get(obj, gen, what, int), _get(obj, scale, what, int)
+    index = WaveletIndex._make((_generator(g, dim), j, vec))
+    return index, a if type(a) is float else _get(obj, amp, what, float)
 
 
 def _entries_obj(field: CoeffField) -> list:
@@ -234,12 +243,8 @@ def config_from_obj(obj: Any) -> ExtractConfig:
 
 def _member_from_obj(obj: Any, dim: int) -> GroupMember:
     what = "group member"
-    obj = _check(obj, what, dict)
-    return GroupMember(
-        index=_index_from_obj(obj, dim, what, "gen", "scale", "shift"),
-        amplitude=_get(obj, "amplitude", what, float),
-        rank=_get(obj, "rank", what, int),
-    )
+    index, amplitude = _entry_from_obj(obj, dim, what, ("gen", "scale", "shift", "amplitude"))
+    return GroupMember(index, amplitude, _get(obj, "rank", what, int))
 
 
 def _group_obj(group: ProfileGroup) -> dict:

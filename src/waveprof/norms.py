@@ -24,9 +24,9 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .field import CoeffField, order_key
 
@@ -120,7 +120,7 @@ def _lp_of(values: Sequence[float], exponent: float) -> float:
         return 0.0
     if exponent == math.inf:
         return max(values)
-    total = math.fsum(v**exponent for v in values)
+    total = math.fsum(map(pow, values, repeat(exponent)))
     if total < _TINY and any(values):
         raise _Underflow
     return total ** (1.0 / exponent)
@@ -145,17 +145,32 @@ def besov_norm(field: CoeffField, params: BesovParams) -> float:
     the weight vanishes and the norm is invariant under every scale and
     translation remap of the indices.
     """
-    if not field.entries:
-        return 0.0
-    weight_exp = params.s + field.dim * (1.0 / field.p - 1.0 / params.a)
     by_scale: dict[int, list[float]] = {}
     for index, amp in field.entries.items():
-        by_scale.setdefault(index.scale, []).append(abs(amp))
-    terms = [
-        _normal(2.0 ** (weight_exp * j)) * _lp_of(amps, params.a)
-        for j, amps in sorted(by_scale.items())
-    ]
-    return _lp_of(terms, params.b)
+        by_scale.setdefault(index.scale, []).append(amp)
+    return _besov_sum({}, by_scale, field.dim, field.p, params)
+
+
+def _besov_sum(terms: dict, scales: Mapping, dim: int, p: float, params: BesovParams) -> float:
+    """:func:`besov_norm` from ``terms``, each scale's weight times its l^a norm.
+
+    The terms of ``scales``, scale to amplitudes, are recomputed in scale
+    order (dropped when empty), then the l^b norm of all terms in scale order
+    is taken.  A term depends only on its scale's amplitudes, so terms kept
+    from calls that returned give the bits and errors of a fresh computation.
+    """
+    weight_exp = params.s + dim * (1.0 / p - 1.0 / params.a)
+    for j in sorted(scales):
+        amps = list(map(abs, scales[j]))
+        if amps:
+            terms[j] = _normal(2.0 ** (weight_exp * j)) * _lp_of(amps, params.a)
+        else:
+            terms.pop(j, None)
+    return _lp_of([terms[j] for j in sorted(terms)], params.b)
+
+
+# The core for callers that keep terms, its errors named as besov_norm's.
+_besov_update = _finite("Besov norm")(_besov_sum)
 
 
 # ---------------------------------------------------------------------------

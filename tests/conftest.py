@@ -12,6 +12,7 @@ from hypothesis import settings
 
 from waveprof.dyadic import DyadicAffine, DyadicRationalVec, WaveletIndex
 from waveprof.field import CoeffField
+from waveprof.io_json import _check, _get, _shift
 
 settings.register_profile("det", deadline=None, derandomize=True, max_examples=50)
 # A longer, still reproducible run, selected with --hypothesis-profile=deep.
@@ -149,6 +150,21 @@ def act_on_index_oracle(tau: DyadicAffine, index: WaveletIndex) -> WaveletIndex:
         tau.scale + index.scale,
         add_oracle(scaled_oracle(tau.shift, index.scale), index.shift),
     )
+
+
+def entry_oracle(obj, dim, what="entry", keys=("i", "j", "k", "amp")):
+    """Reference for the loaders' reader of a field entry or, under its ``what`` and
+    ``keys``, a group member row: ``(index, amplitude)``.
+
+    The reader as it was: every key read through ``_shift`` or ``_get``, shift
+    first, then ``denom_exp``, generator, scale and amplitude, and the index
+    built through the public constructors, which check every value again.
+    """
+    gen, scale, shift, amp = keys
+    obj = _check(obj, what, dict)
+    vec = DyadicRationalVec(_shift(obj, shift, dim, what), _get(obj, "denom_exp", what, int, 0))
+    index = WaveletIndex(_get(obj, gen, what, int), _get(obj, scale, what, int), vec)
+    return index, _get(obj, amp, what, float)
 
 
 def _square_function_grids(fields) -> tuple[list[np.ndarray], float]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import waveprof
+from waveprof import cli
 from waveprof.cli import main
 from waveprof.extract import BesovInput, ExtractConfig, LpInput
 from waveprof.io_json import (
@@ -283,6 +285,12 @@ class TestDecompose:
         assert report["verification"]["stability"]["pass"]
         assert report["config"]["space"]["kind"] == "lp"
 
+    def test_out_creates_its_parent_directories(self, corpus):
+        tmp, corpus_dir, config_path = corpus
+        out = tmp / "new" / "dir" / "report.json"
+        assert main(["decompose", str(corpus_dir), "--config", str(config_path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["decomposition"]["count"] == SPEC_OBJ["n_count"]
+
     def test_empty_directory_exits_2(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -366,6 +374,40 @@ class TestDecompose:
         assert main(["decompose", str(corpus_dir), "--config", str(config_path), "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_main_pauses_the_cyclic_collector_and_restores_the_callers_setting(
+    corpus, monkeypatch, capsys, enabled
+):
+    tmp, corpus_dir, config_path = corpus
+    report = tmp / "report.json"
+    during = []
+    original = cli.verify
+
+    def watched(dec, config):
+        during.append(gc.isenabled())
+        return original(dec, config)
+
+    def breached(dec, config):
+        raise RuntimeError("invariant breach")
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        monkeypatch.setattr(cli, "verify", watched)
+        decompose = ["decompose", str(corpus_dir), "--config", str(config_path), "--out", str(report)]
+        assert main(decompose) == 0
+        assert gc.isenabled() is enabled
+        assert main(["verify", str(report), str(tmp / "missing")]) == 2
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(cli, "verify", breached)
+        assert main(["verify", str(report), str(corpus_dir)]) == 3
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False]
+    assert "internal error: invariant breach" in capsys.readouterr().err
 
 class TestVerify:
     def test_reverification_is_byte_identical(self, corpus):

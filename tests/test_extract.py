@@ -781,6 +781,57 @@ class TestIncrementalRemainders:
         with pytest.raises(ValueError, match="amplitudes must be finite"):
             verify(dec, config)
 
+    @staticmethod
+    def _one_profile(input_entries, profile_entries, p=4.0):
+        """One group at the identity frame on indices 1 and 2, over the same input at both."""
+        anchors = {n: lattice_frame(0, 0) for n in (1, 2)}
+        groups = tuple(
+            ProfileGroup(anchors, (), CoeffField.from_items(1, p, [entry])) for entry in profile_entries
+        )
+        inputs = {n: CoeffField.from_items(1, p, input_entries) for n in (1, 2)}
+        return Decomposition(1, p, inputs, groups, (1, 2), ())
+
+    def test_a_level_that_empties_a_scale(self):
+        # Level 1 cancels the only entry at scale 1; level 2 puts one back.
+        top = lattice_index(1, 1, 0)
+        dec = self._one_profile(
+            [(lattice_index(1, 0, 0), 1.0), (top, 0.5)], [(top, 0.5), (top, 0.25)]
+        )
+        assert {i.scale for i in remainder(dec, 1, 1).entries} == {0}
+        self._check(dec, _config_for(dec))
+
+    def test_a_placed_entry_at_a_scale_the_input_lacks(self):
+        dec = self._one_profile(
+            [(lattice_index(1, 0, 0), 1.0)],
+            [(lattice_index(1, 3, 2), 0.5), (lattice_index(1, -2, 0), 0.75)],
+        )
+        assert {i.scale for i in remainder(dec, 2, 2).entries} == {-2, 0, 3}
+        self._check(dec, _config_for(dec))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_an_infinite_inner_remainder_exponent(self, seed):
+        dec = _random_decomposition(seed)
+        config = lp_config(dec.p, tail_window=2, remainder_space=(math.inf, math.inf))
+        self._check(dec, config)
+
+    def test_a_remainder_term_that_overflows(self):
+        # 1e200 squared leaves the float range in the l^2 term of its scale at
+        # level 1; every norm before that is finite (Besov input with a = 1).
+        dec = self._one_profile(
+            [(lattice_index(1, 0, 0), 1.0)], [(lattice_index(1, 0, 0), 0.5), (lattice_index(1, 2, 1), 1e200)]
+        )
+        config = ExtractConfig(
+            max_iterations=4, tail_window=2, conv_tol=1e-9, bound_threshold=6.0,
+            stop_epsilon=1e-9, input_space=BesovInput(4.0, 1.0, 1.0), remainder_space=(2.0, 2.0),
+        )
+        for level in (0, 1):
+            remainder_space_norm(remainder(dec, level, 1), config)
+        with pytest.raises(ValueError) as rebuilt:
+            remainder_space_norm(remainder(dec, 2, 1), config)
+        with pytest.raises(ValueError) as verified:
+            verify(dec, config)
+        assert str(verified.value) == str(rebuilt.value) == "Besov norm overflows the float range"
+
 
 class TestCrossTableOracle:
     """verify builds each placed profile's boxes once per index; one pair at a time is the oracle."""

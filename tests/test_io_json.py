@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import emit_oracle, verification_obj_oracle
+from conftest import emit_oracle, entry_oracle, verification_obj_oracle
 
 from waveprof.dyadic import DyadicAffine, DyadicRationalVec, WaveletIndex
 from waveprof.extract import extract_profiles, verify
 from waveprof.io_json import (
+    _entry_from_obj,
+    _member_from_obj,
     config_from_obj,
     decomposition_from_obj,
     decomposition_to_obj,
@@ -111,6 +113,67 @@ def test_one_bad_value_raises_only_value_error(name, data):
         load(_mutated(doc, path, replacement))
     except ValueError:
         pass
+
+
+def _member_row(obj, dim):
+    member = _member_from_obj(obj, dim)
+    return member.index, member.amplitude
+
+
+# A field entry and a group member row at dimension 2, each with the loader
+# that reads it.  The entry's shift (6, -2) / 2 is read in lowest terms, (3, -1).
+_ROWS = {
+    "entry": (
+        {"i": 3, "j": -1, "k": [6, -2], "denom_exp": 1, "amp": 0.5},
+        ("i", "j", "k", "amp"),
+        _entry_from_obj,
+    ),
+    "group member": (
+        {"gen": 1, "scale": 2, "shift": [0, 5], "denom_exp": 0, "amplitude": -1.25, "rank": 2},
+        ("gen", "scale", "shift", "amplitude"),
+        _member_row,
+    ),
+}
+
+
+def _row_replacements(keys):
+    """Values that each key may take instead: wrong types, values out of range, valid ones."""
+    gen, scale, shift, amp = keys
+    return {
+        shift: [[1], [1, 2, 3], [True, 0], [0.5, 0], [0, "0"], [4, 8], [], 3],
+        "denom_exp": [-1, True, 0, 3, 2.0, DELETE],
+        gen: [0, 4, -1, True, 2, "1", DELETE],
+        scale: [1.5, 2.0, True, 7, DELETE],
+        amp: ["0.5", 2, "inf", "x", True, None, 1.5, DELETE],
+    }
+
+
+def _read(load, obj):
+    try:
+        return repr(load(obj, 2))
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("what", sorted(_ROWS))
+@given(data=st.data())
+def test_one_or_two_bad_row_values_read_as_the_oracle_reads_them(what, data):
+    row, keys, load = _ROWS[what]
+    row = dict(row)
+    if data.draw(st.integers(0, 9), label="non-object") == 0:
+        row = data.draw(st.sampled_from([[], 7, None, "entry", [row]]), label="row")
+    else:
+        choices = _row_replacements(keys)
+        # Two values at once more often than one: their order of precedence is the harder part.
+        count = data.draw(st.sampled_from([1, 2, 2]), label="count")
+        for key in data.draw(st.permutations(sorted(choices)), label="keys")[:count]:
+            value = data.draw(st.sampled_from(choices[key]), label=key)
+            if value is DELETE:
+                row.pop(key, None)
+            else:
+                row[key] = copy.deepcopy(value)
+    oracle = lambda obj, dim: entry_oracle(obj, dim, what, keys)  # noqa: E731
+    assert _read(load, row) == _read(oracle, row)
 
 
 _FLOATS = st.floats(allow_nan=False) | st.sampled_from(
