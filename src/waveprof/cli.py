@@ -1,8 +1,8 @@
 """Command-line front end: generate corpora, decompose, verify, compute norms.
 
 Exit codes: 0 on success (verification failures live inside the report, they
-are not process failures), 2 on usage or validation problems, 3 on an
-internal invariant breach.
+are not process failures), 2 on usage or validation problems, an unreadable
+input or an unwritable output, 3 on an internal invariant breach.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .io_json import (
     config_from_obj,
     decomposition_to_obj,
     dumps_canonical,
+    dumps_field,
     field_from_obj,
-    field_to_obj,
 )
 from .norms import BesovParams, besov_norm, coeff_lp, lp_norm, sup_amplitude
 from .synth import generate
@@ -43,9 +43,21 @@ def _load_json(path: Path) -> object:
         raise ValueError(f"invalid JSON in {path}: {exc}")
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+@contextmanager
+def _writing(path: Path):
+    """Turn an OSError raised inside into a ValueError naming ``path``, the output being made."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _write_text(path: Path, text: str, parents: bool = True) -> None:
+    """Write ``text`` to ``path``, first making its missing directories when ``parents``."""
+    with _writing(path):
+        if parents:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
 
 
 @contextmanager
@@ -80,14 +92,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     with _naming(spec_path):
         fields, truth = generate(spec)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     # One width for every name, so that the sorted names are in sequence order.
     width = max(4, len(str(len(fields))))
     for n, field in enumerate(fields, start=1):
-        path = out_dir / f"field_{n:0{width}d}.json"
-        path.write_text(dumps_canonical(field_to_obj(field)), encoding="utf-8")
+        _write_text(out_dir / f"field_{n:0{width}d}.json", dumps_field(field), parents=False)
     truth_obj = {"decomposition": decomposition_to_obj(truth)}
-    (out_dir / "truth.json").write_text(dumps_canonical(truth_obj), encoding="utf-8")
+    _write_text(out_dir / "truth.json", dumps_canonical(truth_obj), parents=False)
     print(f"wrote {len(fields)} field files and truth.json to {out_dir}")
     return 0
 

@@ -29,14 +29,14 @@ from .synth import ParamLaw, PlantedProfile, SyntheticSpec
 
 
 def _float_token(value: float) -> str:
-    if math.isnan(value):
-        raise ValueError("NaN is not serializable")
-    if math.isinf(value):
-        return '"inf"' if value > 0 else '"-inf"'
     token = format(value, ".17g")
-    if "e" not in token and "E" not in token and "." not in token:
-        token += ".0"
-    return token
+    if "." in token or "e" in token:
+        return token
+    if token.endswith("inf"):
+        return '"' + token + '"'
+    if token == "nan":
+        raise ValueError("NaN is not serializable")
+    return token + ".0"
 
 
 def _emit(obj: Any) -> str:
@@ -183,6 +183,22 @@ def _entries_from_obj(obj: Mapping, key: str, dim: int, p: float) -> CoeffField:
 
 def field_to_obj(field: CoeffField) -> dict:
     return {"dimension": field.dim, "p": field.p, "entries": _entries_obj(field)}
+
+
+def dumps_field(field: CoeffField) -> str:
+    """``dumps_canonical(field_to_obj(field))``, written one formatted row per entry."""
+    entries = field.entries
+    rows = ",".join([
+        '{"amp":%s,"denom_exp":%d,"i":%d,"j":%d,"k":[%s]}' % (
+            _float_token(entries[index]),
+            index.shift.denom_exp,
+            index.gen,
+            index.scale,
+            ",".join(map(str, index.shift.numerators)),
+        )
+        for index in sorted(entries, key=order_key(field))
+    ])
+    return '{"dimension":%d,"entries":[%s],"p":%s}\n' % (field.dim, rows, _float_token(field.p))
 
 
 def field_from_obj(obj: Any) -> CoeffField:

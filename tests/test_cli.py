@@ -765,6 +765,28 @@ def test_unreadable_input_file_exits_2_naming_it(corpus, capsys, role, kind):
     assert capsys.readouterr().err.startswith(start)
 
 
+@pytest.mark.parametrize(
+    "role", ["generate-into-file", "decompose-to-dir", "decompose-under-file", "verify-to-dir"]
+)
+def test_unwritable_output_exits_2_naming_it(corpus, capsys, role):
+    tmp, corpus_dir, config_path = corpus
+    report = tmp / "report.json"
+    decompose = ["decompose", str(corpus_dir), "--config", str(config_path), "--out"]
+    assert main(decompose + [str(report)]) == 0
+    under = report / "again.json"
+    generate = ["generate", str(tmp / "spec.json")]
+    verify = ["verify", str(report), str(corpus_dir), "--out"]
+    path, reason, argv = {
+        "generate-into-file": (report, "File exists", generate + [str(report)]),
+        "decompose-to-dir": (corpus_dir, "Is a directory", decompose + [str(corpus_dir)]),
+        "decompose-under-file": (under, "File exists", decompose + [str(under)]),
+        "verify-to-dir": (corpus_dir, "Is a directory", verify + [str(corpus_dir)]),
+    }[role]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write {path}: {reason}\n"
+
+
 class TestNorms:
     def test_values_and_schema(self, corpus, capsys):
         _, corpus_dir, _ = corpus

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from conftest import emit_oracle, entry_oracle, verification_obj_oracle
 
-from waveprof.dyadic import DyadicAffine, DyadicRationalVec, WaveletIndex
+from waveprof.dyadic import MAX_SHIFT, DyadicAffine, DyadicRationalVec, WaveletIndex
 from waveprof.extract import extract_profiles, verify
+from waveprof.field import CoeffField
 from waveprof.io_json import (
     _entry_from_obj,
     _member_from_obj,
@@ -22,6 +23,7 @@ from waveprof.io_json import (
     decomposition_from_obj,
     decomposition_to_obj,
     dumps_canonical,
+    dumps_field,
     field_from_obj,
     field_to_obj,
     synthetic_spec_from_obj,
@@ -261,6 +263,47 @@ class TestCanonicalEmitter:
         # and objects of their own, so one reaching the emitter is an error.
         with pytest.raises(TypeError, match="cannot serialize"):
             dumps_canonical(obj)
+
+
+# Integral amplitudes are written with ".0" appended (2**53 and 1e16 in all
+# their digits), 1e17 and the extremes with an exponent.
+_AMPLITUDES = st.sampled_from([1.0, -2.0, 2.0**53, 1e16, 1e17, 5e-324, 1e300, -1e300]) | (
+    st.floats(allow_nan=False, allow_infinity=False).filter(bool)
+)
+
+
+@st.composite
+def _writer_fields(draw):
+    """Fields of dimension 1 to 3, with negative shifts and dyadic ones (``denom_exp > 0``)."""
+    dim = draw(st.integers(1, 3), label="dim")
+    index = st.builds(
+        lambda gen, scale, nums, exp: WaveletIndex(gen, scale, DyadicRationalVec(nums, exp)),
+        st.integers(1, (1 << dim) - 1),
+        st.integers(-4, 4),
+        st.tuples(*[st.integers(-40, 40)] * dim),
+        st.integers(0, 5),
+    )
+    p = draw(st.sampled_from([2.0, 4.0]) | st.floats(2.0, 1e300), label="p")
+    return CoeffField(dim, p, draw(st.dictionaries(index, _AMPLITUDES, max_size=12), label="entries"))
+
+
+class TestFieldWriter:
+    """``dumps_field`` writes a field file; the recursive emitter is its oracle."""
+
+    @given(_writer_fields())
+    def test_bytes_equal_the_recursive_emitter(self, field):
+        assert dumps_field(field) == dumps_canonical(field_to_obj(field))
+
+    def test_a_shift_spread_past_max_shift_raises_alike(self):
+        wide = CoeffField(1, 4.0, {
+            WaveletIndex(1, 0, DyadicRationalVec((1,))): 1.0,
+            WaveletIndex(1, 0, DyadicRationalVec((1,), MAX_SHIFT + 1)): 2.0,
+        })
+        with pytest.raises(ValueError, match="exact index arithmetic needs a shift"):
+            dumps_field(wide)
+        assert _outcome(dumps_field, wide) == _outcome(
+            lambda f: dumps_canonical(field_to_obj(f)), wide
+        )
 
 
 def test_anchor_rows_round_trip_as_frames():
