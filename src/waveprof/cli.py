@@ -8,8 +8,11 @@ input or an unwritable output, 3 on an internal invariant breach.
 from __future__ import annotations
 
 import argparse
+import fnmatch
+import functools
 import gc
 import json
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -76,12 +79,16 @@ def _load(path: Path, from_obj: Callable[[Any], Any]) -> Any:
         return from_obj(obj)
 
 
+# The names of a corpus's field files; decompose and verify read them all.
+_FIELD_FILES = "field_*.json"
+
+
 def _load_corpus(directory: Path) -> list[CoeffField]:
     if not directory.is_dir():
         raise ValueError(f"not a directory: {directory}")
-    paths = sorted(directory.glob("field_*.json"))
+    paths = sorted(directory.glob(_FIELD_FILES))
     if not paths:
-        raise ValueError(f"no field_*.json files in {directory}")
+        raise ValueError(f"no {_FIELD_FILES} files in {directory}")
     return [_load(p, field_from_obj) for p in paths]
 
 
@@ -94,10 +101,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
+        present = os.listdir(out_dir)
     # One width for every name, so that the sorted names are in sequence order.
     width = max(4, len(str(len(fields))))
-    for n, field in enumerate(fields, start=1):
-        _write_text(out_dir / f"field_{n:0{width}d}.json", dumps_field(field), parents=False)
+    names = [f"field_{n:0{width}d}.json" for n in range(1, len(fields) + 1)]
+    # A field file this run does not rewrite would join the corpus that
+    # decompose reads, so the directory is refused before any file is written.
+    stale = sorted(set(fnmatch.filter(present, _FIELD_FILES)).difference(names))
+    if stale:
+        raise ValueError(f"cannot write {out_dir}: it holds {stale[0]}, which is not in this corpus")
+    for name, field in zip(names, fields):
+        _write_text(out_dir / name, dumps_field(field), parents=False)
     truth_obj = {"decomposition": decomposition_to_obj(truth)}
     _write_text(out_dir / "truth.json", dumps_canonical(truth_obj), parents=False)
     print(f"wrote {len(fields)} field files and truth.json to {out_dir}")
@@ -196,9 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call of main and reused: parse_args reads the parser and
+# never changes it, and each call gets a fresh Namespace.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # A command makes no garbage cycle, so the cyclic collector pauses until it ends.
     enabled = gc.isenabled()
     gc.disable()

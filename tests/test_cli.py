@@ -273,6 +273,28 @@ class TestGenerate:
             field = json.loads((tmp_path / "out" / names[n - 1]).read_text())
             assert field["entries"][0]["k"] == [2 * n]
 
+    @pytest.mark.parametrize("leftover", ["shorter-corpus", "five-digit-name"])
+    def test_field_files_it_would_not_rewrite_exit_2_before_any_write(self, corpus, capsys, leftover):
+        # decompose reads every field_*.json in the directory, so a leftover
+        # file would join the corpus silently.
+        tmp, corpus_dir, _ = corpus
+        spec_path = tmp / "spec.json"
+        assert main(["generate", str(spec_path), str(corpus_dir)]) == 0
+        if leftover == "shorter-corpus":
+            spec_path = tmp / "shorter.json"
+            spec_path.write_text(json.dumps(dict(SPEC_OBJ, n_count=5)))
+            stale = "field_0006.json"
+        else:
+            # Every name of a corpus of 10000 or more fields has five digits.
+            stale = "field_00001.json"
+            (corpus_dir / stale).write_text("{}")
+        before = {p.name: p.read_bytes() for p in corpus_dir.iterdir()}
+        capsys.readouterr()
+        assert main(["generate", str(spec_path), str(corpus_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {corpus_dir}: it holds {stale}, which is not in this corpus\n"
+        assert {p.name: p.read_bytes() for p in corpus_dir.iterdir()} == before
+
 
 class TestDecompose:
     def test_report_contents_and_exit(self, corpus):
@@ -408,6 +430,85 @@ def test_main_pauses_the_cyclic_collector_and_restores_the_callers_setting(
         (gc.enable if was else gc.disable)()
     assert during == [False]
     assert "internal error: invariant breach" in capsys.readouterr().err
+
+
+def test_a_command_leaves_no_unreachable_objects(corpus, monkeypatch):
+    # The parser is built once per process, so the collector that main
+    # re-enables finds nothing a command left behind.
+    tmp, corpus_dir, config_path = corpus
+    report = tmp / "report.json"
+    assert main(["decompose", str(corpus_dir), "--config", str(config_path), "--out", str(report)]) == 0
+
+    def breached(dec, config):
+        raise RuntimeError("invariant breach")
+
+    calls = [
+        (0, ["verify", str(report), str(corpus_dir)]),
+        (0, ["norms", str(corpus_dir / "field_0001.json"), "--besov", "0,4,4"]),
+        (2, ["verify", str(report), str(tmp / "missing")]),
+        (2, ["norms", str(corpus_dir / "field_0001.json"), "--besov", "0,2"]),
+        (3, ["verify", str(report), str(corpus_dir)]),
+    ]
+    for code, argv in calls:
+        if code == 3:
+            monkeypatch.setattr(cli, "verify", breached)
+        gc.collect()
+        assert main(argv) == code
+        assert gc.collect() == 0, argv
+
+
+class TestReusedParser:
+    """main reuses one parser; no call may see what an earlier one parsed."""
+
+    def test_repeated_flags_start_fresh(self, corpus, capsys):
+        _, corpus_dir, _ = corpus
+        field = str(corpus_dir / "field_0001.json")
+        assert main(["norms", field, "--besov", "0,4,4", "--besov", "0,2,2"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["besov"]) == 2
+        assert main(["norms", field, "--besov", "0,4,4"]) == 0
+        assert [b["a"] for b in json.loads(capsys.readouterr().out)["besov"]] == [4.0]
+        assert main(["norms", field]) == 0
+        assert json.loads(capsys.readouterr().out)["besov"] == []
+
+    def test_an_omitted_out_falls_back_to_stdout(self, corpus, capsys):
+        tmp, corpus_dir, config_path = corpus
+        report = tmp / "report.json"
+        assert main(["decompose", str(corpus_dir), "--config", str(config_path), "--out", str(report)]) == 0
+        redo = tmp / "redo.json"
+        assert main(["verify", str(report), str(corpus_dir), "--out", str(redo)]) == 0
+        capsys.readouterr()
+        redo.unlink()
+        assert main(["verify", str(report), str(corpus_dir)]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == report.read_bytes()
+        assert not redo.exists()
+
+    def test_a_usage_error_after_a_success_goes_to_the_current_stderr(self, corpus, capsys):
+        _, corpus_dir, _ = corpus
+        assert main(["norms", str(corpus_dir / "field_0001.json")]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exited:
+            main(["norms"])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: waveprof norms")
+        assert "error: the following arguments are required: field" in captured.err
+
+    @pytest.mark.parametrize("command", [[], ["generate"], ["decompose"], ["verify"], ["norms"]])
+    def test_help_is_the_fresh_parsers(self, corpus, capsys, command):
+        _, corpus_dir, _ = corpus
+        assert main(["norms", str(corpus_dir / "field_0001.json"), "--besov", "0,4,4"]) == 0
+        texts = []
+        for parse in (main, cli.build_parser().parse_args):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exited:
+                parse(command + ["--help"])
+            assert exited.value.code == 0
+            texts.append(capsys.readouterr())
+        reused, fresh = texts
+        assert reused.out == fresh.out and reused.err == fresh.err == ""
+        assert reused.out.startswith("usage: waveprof")
+
 
 class TestVerify:
     def test_reverification_is_byte_identical(self, corpus):
