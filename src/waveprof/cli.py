@@ -154,22 +154,25 @@ def _parse_besov_triple(token: str) -> BesovParams:
 
 
 def _cmd_norms(args: argparse.Namespace) -> int:
-    field = _load(Path(args.field), field_from_obj)
+    field_path = Path(args.field)
+    field = _load(field_path, field_from_obj)
     besov_list = [_parse_besov_triple(token) for token in args.besov or []]
     # Basis regularity has no coefficient-space counterpart, so admissibility
-    # of a requested triple is unknown and every triple is reported.
-    obj = {
-        "dimension": field.dim,
-        "p": field.p,
-        "lp": lp_norm(field),
-        "sup": sup_amplitude(field),
-        "coeff_lp": coeff_lp(field),
-        "besov": [
-            {"s": prm.s, "a": prm.a, "b": prm.b, "value": besov_norm(field, prm),
-             "m_admissible": None}
-            for prm in besov_list
-        ],
-    }
+    # of a requested triple is unknown and every triple is reported.  The
+    # field is the only input, so whatever a norm rejects names its file.
+    with _naming(field_path):
+        obj = {
+            "dimension": field.dim,
+            "p": field.p,
+            "lp": lp_norm(field),
+            "sup": sup_amplitude(field),
+            "coeff_lp": coeff_lp(field),
+            "besov": [
+                {"s": prm.s, "a": prm.a, "b": prm.b, "value": besov_norm(field, prm),
+                 "m_admissible": None}
+                for prm in besov_list
+            ],
+        }
     sys.stdout.write(dumps_canonical(obj))
     return 0
 

@@ -16,9 +16,10 @@ tolerance tests.  Sequence indices n are 1-based labels; group positions are
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .dyadic import (
     DyadicAffine,
@@ -36,15 +37,13 @@ from .norms import (
 STABILITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class LpInput:
+class LpInput(NamedTuple):
     """Inputs measured in the Lebesgue-equivalent norm with exponent p."""
 
     p: float
 
 
-@dataclass(frozen=True)
-class BesovInput:
+class BesovInput(NamedTuple):
     """Inputs measured in the scale-invariant Besov norm with exponents (a, q)."""
 
     p: float
@@ -55,8 +54,8 @@ class BesovInput:
 InputSpace = LpInput | BesovInput
 
 
-@dataclass(frozen=True)
-class ExtractConfig:
+class ExtractConfig(namedtuple("ExtractConfig", "max_iterations tail_window conv_tol"
+                               " bound_threshold stop_epsilon input_space remainder_space")):
     """Extraction thresholds and the input/remainder measurement spaces.
 
     ``remainder_space`` is (r, q) in Lebesgue mode and (b, r) in Besov mode;
@@ -64,24 +63,22 @@ class ExtractConfig:
     r >= (b/a) * q.
     """
 
-    max_iterations: int
-    tail_window: int
-    conv_tol: float
-    bound_threshold: float
-    stop_epsilon: float
-    input_space: InputSpace
-    remainder_space: tuple[float, float]
+    __slots__ = ()
+    # ``_replace`` builds its copy through ``_make``, so a copy is checked too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
+    def __new__(
+        cls, max_iterations: int, tail_window: int, conv_tol: float, bound_threshold: float,
+        stop_epsilon: float, input_space: InputSpace, remainder_space: tuple[float, float],
+    ) -> ExtractConfig:
+        if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.tail_window < 2:
+        if tail_window < 2:
             raise ValueError("tail_window must be at least 2")
-        if not (self.conv_tol > 0.0 and self.bound_threshold > 0.0 and self.stop_epsilon > 0.0):
+        if not (conv_tol > 0.0 and bound_threshold > 0.0 and stop_epsilon > 0.0):
             raise ValueError("tolerances must be positive")
-        space = self.input_space
-        first, second = (float(x) for x in self.remainder_space)
-        object.__setattr__(self, "remainder_space", (first, second))
+        space = input_space
+        first, second = (float(x) for x in remainder_space)
         if isinstance(space, LpInput):
             if not (2.0 <= space.p < math.inf):
                 raise ValueError("input exponent p must satisfy 2 <= p < infinity")
@@ -95,6 +92,8 @@ class ExtractConfig:
                 raise ValueError("remainder inner exponent must exceed the input one")
             if not (r >= space.q and r >= (b / space.a) * space.q):
                 raise ValueError("remainder outer exponent must satisfy r >= (b/a) * q")
+        checked = (max_iterations, tail_window, conv_tol, bound_threshold, stop_epsilon)
+        return tuple.__new__(cls, (*checked, space, (first, second)))
 
 
 def input_space_norm(field: CoeffField, space: InputSpace) -> float:
@@ -108,8 +107,7 @@ def remainder_space_norm(field: CoeffField, config: ExtractConfig) -> float:
     return besov_norm(field, BesovParams.critical(field.dim, config.input_space.p, inner, outer))
 
 
-@dataclass(frozen=True)
-class GroupMember:
+class GroupMember(NamedTuple):
     """One extracted component of a profile.
 
     ``index`` is the component's wavelet index in the anchor frame: its scale
@@ -378,8 +376,7 @@ def cross_interaction(dec: Decomposition, first: int, second: int, n: int) -> fl
     return cross_square_pair(f, g)[0]
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     first: int
     second: int
     values: tuple[float, ...]
@@ -388,15 +385,13 @@ class GapReport:
     passes: bool
 
 
-@dataclass(frozen=True)
-class RemainderReport:
+class RemainderReport(NamedTuple):
     level: int
     norms: tuple[float, ...]
     tail_max: float
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     aggregation: float
     lhs: float
     rhs: float
@@ -404,15 +399,13 @@ class StabilityReport:
     passes: bool
 
 
-@dataclass(frozen=True)
-class CrossReport:
+class CrossReport(NamedTuple):
     first: int
     second: int
     values: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Orthogonality, smallness and stability measurements of a decomposition.
 
     All sequences run over the retained indices in order; remainder levels run

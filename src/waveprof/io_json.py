@@ -8,7 +8,6 @@ strings "inf" / "-inf" since JSON numbers cannot express them.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections.abc import Mapping
 from json.encoder import encode_basestring as _encode_str
@@ -354,17 +353,18 @@ def report_from_obj(
 
 
 def _report_obj(value: Any) -> Any:
-    """A report value or a spec's law as JSON objects: a dataclass becomes a dict, a tuple a list.
+    """A report value or a spec's law as JSON objects: a record becomes a dict, a tuple a list.
 
-    Numbers and flags are taken as they are; nothing is copied.  The floats
-    of the value tuples, the bulk of a report, skip the call.
+    A record is a named tuple, read through its ``_fields``.  Numbers and
+    flags are taken as they are; nothing is copied.  The floats of the value
+    tuples, the bulk of a report, skip the call.
     """
     if type(value) is tuple:
         return [v if type(v) is float else _report_obj(v) for v in value]
-    if dataclasses.is_dataclass(value):
+    if isinstance(value, tuple):
         return {
-            ("pass" if f.name == "passes" else f.name): _report_obj(getattr(value, f.name))
-            for f in dataclasses.fields(value)
+            ("pass" if name == "passes" else name): _report_obj(v)
+            for name, v in zip(value._fields, value)
         }
     return value
 

@@ -23,10 +23,10 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, product, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .field import CoeffField, order_key
 
@@ -40,19 +40,19 @@ _LEAST = math.ldexp(1.0, -1074)
 MAX_WALK = 1 << 20
 
 
-@dataclass(frozen=True)
-class BesovParams:
+class BesovParams(namedtuple("BesovParams", "s a b")):
     """Smoothness s, inner exponent a over (generator, shift), outer exponent b over scale."""
 
-    s: float
-    a: float
-    b: float
+    __slots__ = ()
+    # ``_replace`` builds its copy through ``_make``, so a copy is checked too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.s):
+    def __new__(cls, s: float, a: float, b: float) -> BesovParams:
+        if not math.isfinite(s):
             raise ValueError("smoothness must be finite")
-        if not (self.a >= 1.0 and self.b >= 1.0):
+        if not (a >= 1.0 and b >= 1.0):
             raise ValueError("exponents must lie in [1, infinity]")
+        return tuple.__new__(cls, (s, a, b))
 
     @classmethod
     def critical(cls, dim: int, p: float, a: float, b: float) -> BesovParams:
@@ -507,8 +507,7 @@ def _cross_table(fields: Sequence[CoeffField]) -> tuple[float, ...]:
 # Inequality checks at the coefficient level.
 
 
-@dataclass(frozen=True)
-class InterpolationCheck:
+class InterpolationCheck(NamedTuple):
     lhs: float
     rhs: float
     holds: bool
@@ -535,8 +534,7 @@ def interpolation_check(
     return InterpolationCheck(lhs, rhs, lhs <= rhs * (1.0 + _REL_SLACK))
 
 
-@dataclass(frozen=True)
-class EmbeddingChainReport:
+class EmbeddingChainReport(NamedTuple):
     besov_0pp: float
     besov_0pq: float
     besov_srq: float

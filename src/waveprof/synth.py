@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .dyadic import (
     MAX_SHIFT,
@@ -74,36 +74,34 @@ class SeededStream:
 LAW_KINDS = ("constant", "translation", "scaling", "mixed")
 
 
-@dataclass(frozen=True)
-class ParamLaw:
+class ParamLaw(namedtuple("ParamLaw", "kind j0 k0 velocity scale_step")):
     """The frame x -> 2**j * x - k of one planted profile at each n, n running from 1."""
 
-    kind: str
-    j0: int
-    k0: tuple[int, ...]
-    velocity: tuple[int, ...] = ()
-    scale_step: int = 0
+    __slots__ = ()
+    # ``_replace`` builds its copy through ``_make``, so a copy is checked too.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if self.kind not in LAW_KINDS:
-            raise ValueError(f"unknown law kind {self.kind!r}")
-        velocity = self.velocity or (0,) * len(self.k0)
-        object.__setattr__(self, "j0", operator.index(self.j0))
-        object.__setattr__(self, "scale_step", operator.index(self.scale_step))
-        object.__setattr__(self, "k0", tuple(map(operator.index, self.k0)))
-        object.__setattr__(self, "velocity", tuple(map(operator.index, velocity)))
-        if len(self.velocity) != len(self.k0):
+    def __new__(
+        cls, kind: str, j0: int, k0: tuple[int, ...], velocity: tuple[int, ...] = (),
+        scale_step: int = 0,
+    ) -> ParamLaw:
+        if kind not in LAW_KINDS:
+            raise ValueError(f"unknown law kind {kind!r}")
+        velocity = velocity or (0,) * len(k0)
+        j0, scale_step = operator.index(j0), operator.index(scale_step)
+        k0 = tuple(map(operator.index, k0))
+        velocity = tuple(map(operator.index, velocity))
+        if len(velocity) != len(k0):
             raise ValueError("velocity dimension does not match k0")
-        moving = any(self.velocity)
-        scaling = self.scale_step != 0
         expected = {
             "constant": (False, False),
             "translation": (True, False),
             "scaling": (False, True),
             "mixed": (True, True),
-        }[self.kind]
-        if (moving, scaling) != expected:
-            raise ValueError(f"law fields inconsistent with kind {self.kind!r}")
+        }[kind]
+        if (any(velocity), scale_step != 0) != expected:
+            raise ValueError(f"law fields inconsistent with kind {kind!r}")
+        return tuple.__new__(cls, (kind, j0, k0, velocity, scale_step))
 
     def params(self, n: int) -> DyadicAffine:
         return DyadicAffine(
@@ -112,14 +110,12 @@ class ParamLaw:
         )
 
 
-@dataclass(frozen=True)
-class PlantedProfile:
+class PlantedProfile(NamedTuple):
     field: CoeffField
     law: ParamLaw
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(NamedTuple):
     dim: int
     p: float
     profiles: tuple[PlantedProfile, ...]
@@ -326,16 +322,14 @@ def generate(spec: SyntheticSpec) -> tuple[tuple[CoeffField, ...], Decomposition
     return tuple(fields), truth
 
 
-@dataclass(frozen=True)
-class GroupMatch:
+class GroupMatch(NamedTuple):
     truth_index: int
     found_index: int
     frame_map: DyadicAffine
     max_amplitude_deviation: float
 
 
-@dataclass(frozen=True)
-class AlignmentReport:
+class AlignmentReport(NamedTuple):
     matches: tuple[GroupMatch, ...]
     unmatched_truth: tuple[int, ...]
     unmatched_found: tuple[int, ...]

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from collections.abc import Mapping
@@ -315,11 +314,17 @@ def emit_oracle(obj) -> str:
 
 
 def verification_obj_oracle(report) -> dict:
-    """A verification report as nested objects by ``dataclasses.asdict``, ``passes`` as ``pass``.
+    """A verification report as nested objects by a walk over ``_asdict()``, ``passes`` as ``pass``.
 
-    ``asdict`` deep-copies every value and keeps tuples as tuples; the
-    library walks the report directly and writes lists.
+    The walk rebuilds every value and keeps tuples as tuples; the library
+    reads each record's ``_fields`` directly and writes lists.
     """
-    return dataclasses.asdict(
-        report, dict_factory=lambda pairs: {("pass" if k == "passes" else k): v for k, v in pairs}
-    )
+
+    def walk(value):
+        if hasattr(value, "_asdict"):
+            return {("pass" if k == "passes" else k): walk(v) for k, v in value._asdict().items()}
+        if isinstance(value, tuple):
+            return tuple(walk(v) for v in value)
+        return value
+
+    return walk(report)

@@ -1007,3 +1007,29 @@ class TestNorms:
         }))
         assert main(["norms", str(path)]) == 2
         assert "Lebesgue norm underflows the float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "p, entries, reason",
+        [
+            (4.0, [{"i": 1, "j": 2000, "k": [0], "amp": 1.0}],
+             "Lebesgue norm overflows the float range"),
+            (4.0, [{"i": 1, "j": -3000, "k": [0], "amp": 1.0}],
+             "Lebesgue norm underflows the float range"),
+            (1e300, [{"i": 1, "j": 0, "k": [1], "amp": 1.0}, {"i": 1, "j": 10**8, "k": [0], "amp": 1.0}],
+             "Lebesgue norm needs more than 1048576 64-bit words of box corners"),
+        ],
+        ids=["overflow", "underflow", "walk-bound"],
+    )
+    def test_a_norm_error_names_the_field_file(self, tmp_path, capsys, p, entries, reason):
+        # The field is the command's only input, so a norm it makes fail names it.
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"dimension": 1, "p": p, "entries": entries}))
+        assert main(["norms", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert err == f"error: {path}: {reason}\n"
+
+    def test_a_besov_token_error_names_no_file(self, corpus, capsys):
+        _, corpus_dir, _ = corpus
+        assert main(["norms", str(corpus_dir / "field_0001.json"), "--besov", "0,2"]) == 2
+        assert capsys.readouterr().err == "error: --besov expects s,a,b, got '0,2'\n"

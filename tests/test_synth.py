@@ -204,7 +204,7 @@ class TestGenerate:
         first, _ = generate(spec)
         second, _ = generate(spec)
         assert list(first) == list(second)
-        third, _ = generate(dataclasses.replace(spec, seed=12))
+        third, _ = generate(spec._replace(seed=12))
         assert list(third) != list(first)
 
     def test_noise_is_small_fresh_and_counted(self):
