@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import permutations, repeat
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -132,6 +133,9 @@ class ProfileGroup:
     def __post_init__(self) -> None:
         object.__setattr__(self, "anchor_params", MappingProxyType(dict(self.anchor_params)))
 
+    def __reduce__(self) -> tuple:
+        return (type(self), (dict(self.anchor_params), self.members, self.profile))
+
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -145,7 +149,7 @@ class Decomposition:
     ``input_norms`` is the space extraction measured the inputs in and their
     norms by sequence index, which :func:`verify` reuses in that space.  Only
     :func:`extract_profiles` sets it: it is not an ``__init__`` argument, so a
-    decomposition built by hand, loaded from a report or made with
+    decomposition built by hand, loaded from a report, copied or made with
     :func:`dataclasses.replace` has ``None`` and is measured afresh.
 
     Construction checks the structure, whoever builds the decomposition:
@@ -178,6 +182,10 @@ class Decomposition:
                 raise ValueError(f"group {position} lacks anchor rows for retained indices")
             if any(a.shift.denom_exp for a in group.anchor_params.values()):
                 raise ValueError(f"group {position} has an anchor off the integer lattice")
+
+    def __reduce__(self) -> tuple:
+        args = (self.dim, self.p, dict(self.inputs), self.groups, self.retained, self.diagnostics)
+        return (type(self), (*args, self.input_norm_max))
 
     def require_retained(self, n: int) -> None:
         if n not in self.retained:
@@ -466,14 +474,13 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
                 GapReport(i, k, values, nondec, final, nondec and final >= config.bound_threshold)
             )
 
-    # Each profile is transformed once per index; the placed profiles feed
-    # both the remainders and the cross table, which builds each placed
-    # profile's boxes once and takes both orders of a pair from one integral.
+    # Each profile is transformed once per index, for both the remainders and
+    # the cross table, which takes both orders of a pair from one integral.
     groups = len(dec.groups)
     levels = range(groups + 1)
     rem_norms: list[list[float]] = [[] for _ in levels]
     excess: list[list[float]] = [[] for _ in levels]
-    table = [[[0.0] * len(ns) for _ in range(groups)] for _ in range(groups)]
+    rows: dict[tuple[int, int], list[float]] = {pair: [] for pair in permutations(range(groups), 2)}
     rem_params = BesovParams.critical(dec.dim, space.p, *config.remainder_space)
     for pos, n in enumerate(ns):
         placed = [transform(g.profile, g.anchor_params[n]) for g in dec.groups]
@@ -511,11 +518,8 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
                 whole = {index: v for part in rem.values() for index, v in part.items()}
                 current = CoeffField._unchecked(dec.dim, dec.p, whole)
                 excess[level].append(input_space_norm(current, space) - input_norms[pos])
-        if dec.p != 2.0:
-            values = iter(_cross_table(placed))
-            for i in range(groups):
-                for k in range(i + 1, groups):
-                    table[i][k][pos], table[k][i][pos] = next(values), next(values)
+        for row, value in zip(rows.values(), _cross_table(placed) if dec.p != 2.0 else repeat(0.0)):
+            row.append(value)
     remainder_reports = [
         RemainderReport(level, tuple(norms), max(norms[tail_start:], default=0.0))
         for level, norms in enumerate(rem_norms)
@@ -540,12 +544,7 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
         passes=lhs <= rhs + STABILITY_TOL,
     )
 
-    cross_reports = [
-        CrossReport(i, k, tuple(table[i][k]))
-        for i in range(groups)
-        for k in range(groups)
-        if i != k
-    ]
+    cross_reports = [CrossReport(i, k, tuple(row)) for (i, k), row in rows.items()]
 
     return VerificationReport(
         retained=tuple(ns),

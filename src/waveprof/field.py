@@ -49,6 +49,10 @@ class CoeffField:
         object.__setattr__(self, "p", checked.p)
         object.__setattr__(self, "entries", checked.entries)
 
+    def __reduce__(self) -> tuple:
+        # A mapping proxy neither pickles nor copies: rebuild through the constructor.
+        return (type(self), (self.dim, self.p, dict(self.entries)))
+
     @classmethod
     def _unchecked(cls, dim: int, p: float, entries: dict[WaveletIndex, float]) -> CoeffField:
         """The field of valid ``entries``, which it takes over without a copy."""

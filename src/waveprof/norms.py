@@ -24,7 +24,7 @@ import functools
 import math
 import sys
 from collections import namedtuple
-from itertools import combinations, product, repeat
+from itertools import combinations, permutations, product, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -448,15 +448,14 @@ def cross_square_pair(f: CoeffField, g: CoeffField) -> tuple[float, float]:
 
 @_finite("cross-square integral")
 def _cross_table(fields: Sequence[CoeffField]) -> tuple[float, ...]:
-    """:func:`cross_square_pair` of each pair i < k of ``fields``, flat, pairs in that order.
+    """Integral of S_f * S_g**(p/2 - 1) per pair (f, g) of ``fields``, in ``permutations`` order.
 
-    Each field's boxes and their bounding box are built once, at the field's
-    own finest resolution, when the first pair that needs them is reached;
-    so the first check to fail is the one a call per pair meets first.  A
-    pair whose bounding boxes are disjoint gives (0.0, 0.0) with nothing more
-    built.  Otherwise the coarser field's boxes are moved to the pair's
-    resolution R by ``_finer``, which lists exactly the boxes the field would
-    have at R, and one walk gives both orders.
+    Once two fields are nonempty, every nonempty field's boxes and bounding
+    box are built in one pass at its own finest resolution, so a box check
+    fails before any walk.  A pair with an empty field or disjoint bounding
+    boxes gives 0.0 both ways; otherwise the coarser field's boxes are moved
+    to the pair's resolution R by ``_finer``, which lists exactly the boxes
+    the field would have at R, and one walk gives both orders.
     """
     if len(fields) < 2:
         return ()
@@ -479,28 +478,20 @@ def _cross_table(fields: Sequence[CoeffField]) -> tuple[float, ...]:
             raise _Underflow
         return (sf * sg_power or _LEAST, sg * sf_power or _LEAST)
 
-    boxes: list = [None] * len(fields)  # (resolution, items, bounding box) once built
-
-    def built(i: int) -> tuple[int, list[_Item], list[tuple[int, int]]]:
-        if boxes[i] is None:
-            resolution, items = _square_items(fields[i])
-            boxes[i] = (resolution, items, _bounding_box(items))
-        return boxes[i]
-
-    table: list[float] = []
-    for i, k in combinations(range(len(fields)), 2):
-        if not fields[i].entries or not fields[k].entries:
-            table += (0.0, 0.0)
-            continue
-        (f_res, f_items, f_box), (g_res, g_items, g_box) = built(i), built(k)
+    nonempty = [i for i, f in enumerate(fields) if f.entries]
+    boxes = {}  # field position: (resolution, items, bounding box)
+    for i in nonempty if len(nonempty) > 1 else ():
+        resolution, items = _square_items(fields[i])
+        boxes[i] = (resolution, items, _bounding_box(items))
+    table: dict[tuple[int, int], float] = {}
+    for i, k in combinations(boxes, 2):
+        (f_res, f_items, f_box), (g_res, g_items, g_box) = boxes[i], boxes[k]
         resolution = max(f_res, g_res)
         f_up, g_up = resolution - f_res, resolution - g_res
-        if _apart(f_box, g_box, f_up) if f_up else _apart(g_box, f_box, g_up):
-            table += (0.0, 0.0)
-            continue
-        layers = [_finer(f_items, f_up), _finer(g_items, g_up)]
-        table += _cell_integral(layers, dim, resolution, evaluate, 2)
-    return tuple(table)
+        if not (_apart(f_box, g_box, f_up) if f_up else _apart(g_box, f_box, g_up)):
+            layers = [_finer(f_items, f_up), _finer(g_items, g_up)]
+            table[i, k], table[k, i] = _cell_integral(layers, dim, resolution, evaluate, 2)
+    return tuple(table.get(pair, 0.0) for pair in permutations(range(len(fields)), 2))
 
 
 # ---------------------------------------------------------------------------

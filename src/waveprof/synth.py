@@ -230,15 +230,16 @@ def _reframed_groups(spec: SyntheticSpec, retained: tuple[int, ...]) -> list[Pro
 def _noise_frame(spec: SyntheticSpec, placed: Iterable[CoeffField]) -> tuple[int, int, int]:
     """Noise scale, offset and span, from every placed planted entry.
 
-    The scale is one finer than every planted entry's and at least 1.  Input
-    n draws each shift component from the ``span << scale`` values starting
-    at ``(offset + (n - 1) * span) << scale``, beyond every planted cube.  A
-    noisy spec whose draws would span more than 2**64 values is rejected
+    Every field in ``placed`` has passed :func:`_placed`'s lattice check, so
+    its shifts are integers.  The scale is one finer than every planted
+    entry's and at least 1.  Input n draws each shift component from the
+    ``span << scale`` values starting at ``(offset + (n - 1) * span) << scale``,
+    beyond every planted cube.  Draws spanning over 2**64 values are rejected
     without building ``span << scale``, and an edge shifted by more than
     ``MAX_SHIFT`` bits is never built.
     """
-    # An entry at scale j with shift k / 2**d covers a cube whose farthest
-    # edge from the origin, per axis, is (|k| + 2**d) / 2**(j + d).
+    # An entry at scale j with shift k covers a cube whose farthest edge from
+    # the origin, per axis, is (|k| + 1) / 2**j.
     span = 4 * spec.noise_count
     top_scale = 0
     reach = 1
@@ -246,14 +247,13 @@ def _noise_frame(spec: SyntheticSpec, placed: Iterable[CoeffField]) -> tuple[int
         if not span:
             continue  # no noise: the placements are only made, for their checks
         for index in field.entries:
-            top_scale = max(top_scale, index.scale)
-            denom_exp = index.shift.denom_exp
-            exponent = index.scale + denom_exp
-            if -exponent > MAX_SHIFT:
-                raise _too_wide(-exponent)
+            j = index.scale
+            top_scale = max(top_scale, j)
+            if -j > MAX_SHIFT:
+                raise _too_wide(-j)
             for c in index.shift.numerators:
-                edge = abs(c) + (1 << denom_exp)
-                reach = max(reach, -(-edge >> exponent) if exponent >= 0 else edge << -exponent)
+                edge = abs(c) + 1
+                reach = max(reach, -(-edge >> j) if j >= 0 else edge << -j)
     scale = top_scale + 1
     # Each noise shift component and generator is one SeededStream draw,
     # which spans at most 2**64 values; there are 2**dim - 1 generators.

@@ -919,6 +919,13 @@ class TestNorms:
         out = json.loads(capsys.readouterr().out)
         assert out["lp"] == 0.0 and out["sup"] == 0.0 and out["coeff_lp"] == 0.0
 
+    def test_a_missing_field_file_exits_2_naming_it(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["norms", "MISSING.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no such file: MISSING.json\n"
+
     def test_bad_besov_exits_2(self, corpus):
         _, corpus_dir, _ = corpus
         assert main(["norms", str(corpus_dir / "field_0001.json"), "--besov", "0,2"]) == 2

@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -378,6 +378,56 @@ def _with_recursive_oracle(fn, *args):
 _ORDER_WEIGHTS = (1.0, 0.75, 2.0**-53, 1.5 * 2.0**-53, 3.0 * 2.0**-54, 2.0**-52)
 
 
+class TestCrossTable:
+    def _log_calls(self, monkeypatch, *names):
+        """Replace each named function of ``norms`` by one that logs its name, then runs it."""
+        log = []
+
+        def logged(name, fn):
+            def run(*args):
+                log.append(name)
+                return fn(*args)
+
+            return run
+
+        for name in names:
+            monkeypatch.setattr(norms, name, logged(name, getattr(norms, name)))
+        return log
+
+    def test_values_run_over_ordered_pairs_in_permutations_order(self):
+        fields = [
+            fld(4.0, (lattice_index(1, 0, 0), 1.0)),
+            fld(4.0, (lattice_index(1, 1, 1), 0.5)),
+            fld(4.0, (lattice_index(1, 2, 0), 0.25), (lattice_index(1, 0, 0), 0.75)),
+        ]
+        expected = [cross_square_pair(fields[i], fields[k])[0] for i, k in permutations(range(3), 2)]
+        assert _bits(norms._cross_table(fields)) == _bits(expected)
+
+    def test_each_nonempty_field_is_built_once_before_any_walk(self, monkeypatch):
+        log = self._log_calls(monkeypatch, "_square_items", "_cell_integral")
+        near = fld(4.0, (lattice_index(1, 0, 0), 1.0))
+        far = fld(4.0, (lattice_index(1, 0, 9), 1.0))
+        table = norms._cross_table([near, CoeffField.empty(1, 4.0), far, near])
+        # Only the pair of the two near fields overlaps.
+        assert log == ["_square_items"] * 3 + ["_cell_integral"]
+        expected = dict.fromkeys(permutations(range(4), 2), 0.0)
+        expected[0, 3], expected[3, 0] = norms._cross_table([near, near])
+        assert table == tuple(expected.values())
+
+    def test_a_lone_nonempty_field_builds_no_boxes(self, monkeypatch):
+        # Its boxes would overflow, but with no other nonempty field every
+        # value is 0.0 and none is built.
+        log = self._log_calls(monkeypatch, "_square_items")
+        lone = fld(4.0, (lattice_index(1, 2100, 0), 1.0))
+        empty = CoeffField.empty(1, 4.0)
+        assert norms._cross_table([empty, lone, empty]) == (0.0,) * 6
+        assert cross_square_pair(lone, empty) == (0.0, 0.0)
+        assert log == []
+        with pytest.raises(ValueError, match="cross-square integral overflows the float range"):
+            cross_square_pair(lone, fld(4.0, (lattice_index(1, 0, 0), 1.0)))
+        assert log == ["_square_items"]
+
+
 @st.composite
 def _raw_layers(draw):
     """1-3 layers of boxes in [-2**(f-1), 2**(f-1))**d, d 1-3, from one pool so cubes repeat.
@@ -704,6 +754,19 @@ class TestUnderflow:
         # normal weight that had lost bits, and the norm came out as
         # 1.267650602350004e30, a relative error of 1.7e-9.
         f = fld(2.1, (lattice_index(1, -1100, 0), 2.0**100))
+        with pytest.raises(ValueError) as caught:
+            lp_norm(f)
+        assert str(caught.value) == "Lebesgue norm underflows the float range"
+
+    def test_a_vast_cube_whose_integrand_is_subnormal_is_rejected(self, monkeypatch):
+        # The weight 1e-8 * 2**(-2045/50) is normal, but its 50th power is
+        # not; on a cube of volume 2**2045 no total can stand, and the walk
+        # raises before it sums anything.
+        def no_sum(products, slack):
+            pytest.fail("the pieces were summed")
+
+        monkeypatch.setattr(norms, "_rounded_sum", no_sum)
+        f = fld(100.0, (lattice_index(1, -2045, 0), 1e-4))
         with pytest.raises(ValueError) as caught:
             lp_norm(f)
         assert str(caught.value) == "Lebesgue norm underflows the float range"

@@ -12,13 +12,16 @@ from waveprof.dyadic import DyadicAffine, DyadicRationalVec, WaveletIndex
 from waveprof.extract import (
     BesovInput,
     CrossReport,
+    Decomposition,
     ExtractConfig,
     GapReport,
     GroupMember,
     LpInput,
+    ProfileGroup,
     RemainderReport,
     StabilityReport,
     VerificationReport,
+    extract_profiles,
 )
 from waveprof.field import CoeffField
 from waveprof.norms import BesovParams, EmbeddingChainReport, InterpolationCheck
@@ -42,6 +45,13 @@ _CONFIG = ExtractConfig(8, 3, 1e-9, 6.0, 0.001, LpInput(4.0), (8, 8))
 _PARAMS = BesovParams(0.5, 2.0, 3.0)
 _LAW = ParamLaw("translation", 0, (0,), (8,))
 _STABILITY = StabilityReport(4.0, 1.0, 1.0, 1e-9, True)
+_FIELD = CoeffField(1, 4.0, {WaveletIndex(1, 0, _ORIGIN): 0.5, WaveletIndex(1, 2, _ORIGIN): 0.25})
+_GROUP = ProfileGroup(
+    {1: DyadicAffine(0, _ORIGIN)}, (GroupMember(WaveletIndex(1, 0, _ORIGIN), 0.5, 1),), _FIELD
+)
+_DECOMPOSITION = Decomposition(1, 4.0, {1: _FIELD}, (_GROUP,), (1,), ("kept",), 0.5)
+_PLANTED = PlantedProfile(_FIELD, _LAW)
+_SPEC = SyntheticSpec(1, 4.0, (_PLANTED,), 8, 11, 1e-4, 2)
 
 # One value of each record that is a named tuple, with the repr a frozen
 # dataclass of the same fields gave.
@@ -155,10 +165,33 @@ class TestCheckedCopies:
         assert _CONFIG._replace(remainder_space=[9, 9]).remainder_space == (9.0, 9.0)
 
     @pytest.mark.parametrize(
-        "record", [_CONFIG, _PARAMS, _LAW],
-        ids=["ExtractConfig", "BesovParams", "ParamLaw"],
+        "record", [_CONFIG, _PARAMS, _LAW, _FIELD, _GROUP, _DECOMPOSITION, _PLANTED, _SPEC],
+        ids=[
+            "ExtractConfig", "BesovParams", "ParamLaw", "CoeffField", "ProfileGroup",
+            "Decomposition", "PlantedProfile", "SyntheticSpec",
+        ],
     )
     def test_pickle_and_deepcopy_give_equal_records(self, record):
         for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
             assert type(copied) is type(record)
             assert copied == record
+
+    @pytest.mark.parametrize(
+        "record, mapping",
+        [(_FIELD, "entries"), (_GROUP, "anchor_params"), (_DECOMPOSITION, "inputs")],
+        ids=["CoeffField", "ProfileGroup", "Decomposition"],
+    )
+    def test_a_mapping_owner_copies_through_its_constructor(self, record, mapping):
+        for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+            # The copy holds a read-only mapping again, and so has no hash.
+            with pytest.raises(TypeError):
+                getattr(copied, mapping)[None] = None
+            with pytest.raises(TypeError):
+                hash(copied)
+
+    def test_a_copied_decomposition_drops_only_its_input_norm_cache(self):
+        dec = extract_profiles([_FIELD] * 3, _CONFIG._replace(max_iterations=2))
+        assert dec.input_norms is not None
+        for copied in (pickle.loads(pickle.dumps(dec)), copy.deepcopy(dec)):
+            assert copied == dec
+            assert copied.input_norms is None

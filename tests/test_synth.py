@@ -295,6 +295,11 @@ class TestSeededStream:
         units = [stream.unit() for _ in range(200)]
         assert all(0.0 <= u < 1.0 for u in units)
 
+    def test_a_bound_below_one_is_rejected(self):
+        with pytest.raises(ValueError) as caught:
+            SeededStream(1).below(0)
+        assert str(caught.value) == "bound must be positive"
+
     def test_bound_beyond_one_draw_is_rejected(self):
         stream = SeededStream(7)
         assert 0 <= stream.below(1 << 64) < 1 << 64
@@ -325,6 +330,21 @@ class TestNoiseDrawWidth:
             validate_spec(self._spec(60, 5))
         with pytest.raises(ValueError, match="noise at scale 61"):
             generate(self._spec(61, 4))
+
+    def test_a_noise_edge_past_the_shift_bound_is_rejected_before_any_draw(self, monkeypatch):
+        def no_draw(stream):
+            pytest.fail("noise was drawn before the noise frame was checked")
+
+        monkeypatch.setattr(synth.SeededStream, "next_raw", no_draw)
+        far = dyadic.MAX_SHIFT + 1
+        planted = PlantedProfile(unit_profile(), ParamLaw("constant", -far, (0,)))
+        spec = SyntheticSpec(1, 4.0, (planted,), n_count=2, seed=3, noise_amp=1e-4, noise_count=2)
+        for run in (validate_spec, generate):
+            with pytest.raises(ValueError) as caught:
+                run(spec)
+            assert str(caught.value) == (
+                f"exact index arithmetic needs a shift of {far} bits, more than {dyadic.MAX_SHIFT}"
+            )
 
     def test_generators_beyond_one_draw_are_rejected(self):
         dim = 65
