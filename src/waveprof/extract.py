@@ -103,6 +103,14 @@ def input_space_norm(field: CoeffField, space: InputSpace) -> float:
     return besov_norm(field, BesovParams.critical(field.dim, space.p, space.a, space.q))
 
 
+def _input_norm(n: int, field: CoeffField, space: InputSpace) -> float:
+    """``input_space_norm`` of input ``n``, the n-th of the sequence; an error names the input."""
+    try:
+        return input_space_norm(field, space)
+    except ValueError as exc:
+        raise ValueError(f"input {n}: {exc}") from None
+
+
 def remainder_space_norm(field: CoeffField, config: ExtractConfig) -> float:
     inner, outer = config.remainder_space
     return besov_norm(field, BesovParams.critical(field.dim, config.input_space.p, inner, outer))
@@ -215,18 +223,18 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
     if not fields:
         raise ValueError("empty sequence")
     dim, p = fields[0].dim, fields[0].p
-    for f in fields:
+    for n, f in enumerate(fields, start=1):
         if f.dim != dim or f.p != p:
-            raise ValueError("sequence mixes dimensions or reference exponents")
+            raise ValueError(f"input {n}: sequence mixes dimensions or reference exponents")
         if not f.is_lattice:
-            raise ValueError("inputs must carry integral shifts")
+            raise ValueError(f"input {n}: inputs must carry integral shifts")
     if config.input_space.p != p:
         raise ValueError("config reference exponent does not match the inputs")
     if config.tail_window > len(fields):
         raise ValueError("tail window exceeds the sequence length")
 
     inputs = {n: f for n, f in enumerate(fields, start=1)}
-    input_norms = {n: input_space_norm(f, config.input_space) for n, f in inputs.items()}
+    input_norms = {n: _input_norm(n, f, config.input_space) for n, f in inputs.items()}
     input_norm_max = max(input_norms.values())
     retained = sorted(inputs)
     ranked = {n: rank(f) for n, f in inputs.items()}
@@ -456,7 +464,7 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
     if known is not None and known[0] == space:
         input_norms = tuple(known[1][n] for n in ns)
     else:
-        input_norms = tuple(input_space_norm(dec.inputs[n], space) for n in ns)
+        input_norms = tuple(_input_norm(n, dec.inputs[n], space) for n in ns)
     tail_input_min = min(input_norms[tail_start:]) if ns else 0.0
     profile_norms = tuple(input_space_norm(g.profile, space) for g in dec.groups)
 

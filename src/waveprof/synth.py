@@ -34,7 +34,7 @@ from .dyadic import (
     relative_map,
 )
 from .extract import Decomposition, GroupMember, ProfileGroup
-from .field import CoeffField, combine, order_key, rank, transform
+from .field import CoeffField, order_key, rank, transform
 
 _MASK64 = (1 << 64) - 1
 
@@ -174,28 +174,24 @@ def _check_spec(spec: SyntheticSpec) -> None:
             last[i, k] = gap
 
 
-def _placed(spec: SyntheticSpec, n: int) -> list[CoeffField]:
-    """Every planted profile moved to index ``n``; off-lattice or colliding ones are rejected."""
-    placed: list[CoeffField] = []
-    taken: set[WaveletIndex] = set()  # every index placed so far
+def _placed(spec: SyntheticSpec, n: int) -> dict[WaveletIndex, float]:
+    """Every planted entry moved to index ``n``; off-lattice or colliding profiles are rejected."""
+    entries: dict[WaveletIndex, float] = {}
     for position, planted in enumerate(spec.profiles):
         field = transform(planted.field, planted.law.params(n))
         if not field.is_lattice:
             raise ValueError(f"profile {position} leaves the lattice at n={n}")
-        if not taken.isdisjoint(field.entries):
-            raise ValueError(
-                f"planted supports collide at n={n}; recovery would be ambiguous"
-            )
-        taken.update(field.entries)
-        placed.append(field)
-    return placed
+        if not entries.keys().isdisjoint(field.entries):
+            raise ValueError(f"planted supports collide at n={n}; recovery would be ambiguous")
+        entries.update(field.entries)
+    return entries
 
 
 def validate_spec(spec: SyntheticSpec) -> None:
     """Reject specs that cannot produce a cleanly recoverable sequence."""
     _check_spec(spec)
-    # The placements are made lazily, so one index's are held at a time.
-    _noise_frame(spec, (f for n in range(1, spec.n_count + 1) for f in _placed(spec, n)))
+    # The placements are made lazily, so one index's entries are held at a time.
+    _noise_frame(spec, (_placed(spec, n) for n in range(1, spec.n_count + 1)))
 
 
 def _reframed_groups(spec: SyntheticSpec, retained: tuple[int, ...]) -> list[ProfileGroup]:
@@ -227,10 +223,12 @@ def _reframed_groups(spec: SyntheticSpec, retained: tuple[int, ...]) -> list[Pro
     ]
 
 
-def _noise_frame(spec: SyntheticSpec, placed: Iterable[CoeffField]) -> tuple[int, int, int]:
-    """Noise scale, offset and span, from every placed planted entry.
+def _noise_frame(
+    spec: SyntheticSpec, placed: Iterable[Iterable[WaveletIndex]]
+) -> tuple[int, int, int]:
+    """Noise scale, offset and span, from the planted indices of every input.
 
-    Every field in ``placed`` has passed :func:`_placed`'s lattice check, so
+    Every index in ``placed`` has passed :func:`_placed`'s lattice check, so
     its shifts are integers.  The scale is one finer than every planted
     entry's and at least 1.  Input n draws each shift component from the
     ``span << scale`` values starting at ``(offset + (n - 1) * span) << scale``,
@@ -243,10 +241,10 @@ def _noise_frame(spec: SyntheticSpec, placed: Iterable[CoeffField]) -> tuple[int
     span = 4 * spec.noise_count
     top_scale = 0
     reach = 1
-    for field in placed:
+    for indices in placed:
         if not span:
             continue  # no noise: the placements are only made, for their checks
-        for index in field.entries:
+        for index in indices:
             j = index.scale
             top_scale = max(top_scale, j)
             if -j > MAX_SHIFT:
@@ -265,14 +263,16 @@ def _noise_frame(spec: SyntheticSpec, placed: Iterable[CoeffField]) -> tuple[int
     return scale, reach + 1, span
 
 
-def _noise_field(
-    spec: SyntheticSpec, stream: SeededStream, n: int, frame: tuple[int, int, int]
-) -> CoeffField:
+def _draw_noise(
+    spec: SyntheticSpec, stream: SeededStream, n: int, frame: tuple[int, int, int],
+    entries: dict[WaveletIndex, float],
+) -> None:
+    """Add input ``n``'s noise to its planted ``entries``: fresh indices, nonzero amplitudes."""
     scale, offset, span = frame
     base = (offset + (n - 1) * span) << scale
     width = span << scale
-    entries: dict[WaveletIndex, float] = {}
-    while len(entries) < spec.noise_count:
+    size = len(entries) + spec.noise_count
+    while len(entries) < size:
         gen = 1 + stream.below((1 << spec.dim) - 1)
         shift = tuple(base + stream.below(width) for _ in range(spec.dim))
         index = WaveletIndex(gen, scale, DyadicRationalVec(shift))
@@ -282,33 +282,27 @@ def _noise_field(
         if amp == 0.0:
             continue
         entries[index] = amp
-    return CoeffField(spec.dim, spec.p, entries)
 
 
 def generate(spec: SyntheticSpec) -> tuple[tuple[CoeffField, ...], Decomposition]:
     """Build the sequence and the decomposition that should be recovered.
 
-    Deterministic given the spec.  Each input is the union of the placed
-    planted profiles, which :func:`_placed` guarantees are disjoint, plus
-    noise.  It equals the sum of the truth groups' placed profiles entry for
-    entry, so a perfect recovery cancels the planted components exactly,
-    coefficient by coefficient.  Noise is placed beyond the planted indices.
+    Deterministic given the spec.  Each input is one mapping: the placed
+    planted profiles, which :func:`_placed` guarantees are disjoint, and noise
+    drawn beyond every planted index.  Its planted entries are the truth groups'
+    placed profiles entry for entry, so a perfect recovery cancels them exactly,
+    coefficient by coefficient, and leaves the noise.
     """
     _check_spec(spec)
     retained = tuple(range(1, spec.n_count + 1))
-    fields = []
-    for n in retained:
-        union: dict[WaveletIndex, float] = {}
-        for placed in _placed(spec, n):
-            union.update(placed.entries)
-        fields.append(CoeffField._unchecked(spec.dim, spec.p, union))
+    inputs = [_placed(spec, n) for n in retained]
     if spec.noise_count:
         stream = SeededStream(spec.seed)
-        frame = _noise_frame(spec, fields)
-        fields = [
-            combine(acc, _noise_field(spec, stream, n, frame))
-            for n, acc in zip(retained, fields)
-        ]
+        frame = _noise_frame(spec, inputs)
+        for n, entries in zip(retained, inputs):
+            _draw_noise(spec, stream, n, frame, entries)
+    # Planted amplitudes come from checked fields; noise ones are nonzero and within noise_amp.
+    fields = tuple(CoeffField._unchecked(spec.dim, spec.p, entries) for entries in inputs)
 
     groups = _reframed_groups(spec, retained)
     truth = Decomposition(
@@ -319,7 +313,7 @@ def generate(spec: SyntheticSpec) -> tuple[tuple[CoeffField, ...], Decomposition
         retained=retained,
         diagnostics=(),
     )
-    return tuple(fields), truth
+    return fields, truth
 
 
 class GroupMatch(NamedTuple):

@@ -608,6 +608,44 @@ class TestVerify:
         assert "entries must be a list" in capsys.readouterr().err
 
 
+# An entry added to input 5 that one of its checks or norms rejects, and the
+# reason decompose and verify each give.
+_INPUT_PROBES = {
+    "far-scale": (
+        {"i": 1, "j": 10**8, "k": [0], "denom_exp": 0, "amp": 0.25},
+        {"decompose": "Lebesgue norm overflows the float range",
+         "verify": "Lebesgue norm overflows the float range"},
+    ),
+    "fine-shift": (
+        {"i": 1, "j": 0, "k": [1], "denom_exp": 1100, "amp": 0.25},
+        {"decompose": "inputs must carry integral shifts",
+         "verify": "Lebesgue norm needs more than 1048576 cubes times sides"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+@pytest.mark.parametrize("probe", sorted(_INPUT_PROBES))
+def test_an_input_error_names_the_input(corpus, capsys, probe, command):
+    tmp, corpus_dir, config_path = corpus
+    report = tmp / "report.json"
+    assert main(["decompose", str(corpus_dir), "--config", str(config_path), "--out", str(report)]) == 0
+    entry, reasons = _INPUT_PROBES[probe]
+    path = corpus_dir / "field_0005.json"
+    field = json.loads(path.read_text())
+    field["entries"].append(entry)
+    path.write_text(json.dumps(field))
+    out = tmp / "again.json"
+    argv = {
+        "decompose": ["decompose", str(corpus_dir), "--config", str(config_path), "--out", str(out)],
+        "verify": ["verify", str(report), str(corpus_dir), "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: input 5: {reasons[command]}\n"
+    assert not out.exists()
+
+
 def _spec_profile(spec):
     spec["profiles"][0] = 1
     return spec, "spec profile must be an object"

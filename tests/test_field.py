@@ -109,6 +109,11 @@ class TestTransform:
         with pytest.raises(ValueError):
             transform(fld(4.0, (lattice_index(1, 0, 0), 1.0)), DyadicAffine.identity(2))
 
+    def test_an_index_acts_as_its_frame(self):
+        f = fld(4.0, (lattice_index(1, 0, 0), 1.0), (lattice_index(1, 1, 3), -0.5))
+        index = WaveletIndex(1, -2, DyadicRationalVec((5,), 1))
+        assert transform(f, index) == transform(f, DyadicAffine(index.scale, index.shift))
+
 
 class TestCombine:
     def test_exact_cancellation(self):

@@ -207,18 +207,45 @@ class TestGenerate:
         third, _ = generate(spec._replace(seed=12))
         assert list(third) != list(first)
 
-    def test_noise_is_small_fresh_and_counted(self):
-        spec = simple_spec(noise_amp=1e-4, noise_count=3)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_noise_is_small_fresh_and_counted(self, dim):
+        origin = (0,) * dim
+        spec = simple_spec(
+            dim=dim,
+            profiles=(
+                PlantedProfile(unit_profile(1.0, dim), ParamLaw("constant", 0, origin)),
+                PlantedProfile(
+                    unit_profile(0.5, dim),
+                    ParamLaw("translation", 0, origin, velocity=(8,) + origin[1:]),
+                ),
+            ),
+            noise_amp=1e-4,
+            noise_count=3,
+        )
         fields, truth = generate(spec)
         for n, f in zip(truth.retained, fields):
-            planted = set()
+            planted = {}
             for g in truth.groups:
-                moved = transform(g.profile, g.anchor_params[n])
-                planted |= set(moved.entries)
-            extra = set(f.entries) - planted
+                planted.update(transform(g.profile, g.anchor_params[n]).entries)
+            extra = set(f.entries) - planted.keys()
             assert len(extra) == 3
-            assert all(abs(f.entries[i]) <= 1e-4 for i in extra)
-            assert planted <= set(f.entries)
+            assert all(0.0 < abs(f.entries[i]) <= 1e-4 for i in extra)
+            # Noise is drawn into the input's planted mapping: a draw on a
+            # planted index would replace that amplitude, not add to it.
+            assert all(f.entries.get(i) == amp for i, amp in planted.items())
+
+    def test_a_zero_noise_amplitude_is_redrawn(self, monkeypatch):
+        unit = synth.SeededStream.unit
+        zero = [0.5]  # 2 * 0.5 - 1 = 0: the first noise amplitude drawn is zero
+
+        def first_zero(stream):
+            return zero.pop() if zero else unit(stream)
+
+        monkeypatch.setattr(synth.SeededStream, "unit", first_zero)
+        fields, truth = generate(simple_spec(noise_amp=1e-4, noise_count=3))
+        assert not zero
+        planted = len(truth.groups)  # one entry per profile
+        assert all(len(f) == planted + 3 and all(f.entries.values()) for f in fields)
 
     def test_sequence_is_norm_bounded(self):
         spec = simple_spec(noise_amp=1e-4, noise_count=3)
@@ -376,8 +403,19 @@ class TestNoiseFrame:
         monkeypatch.setattr(synth, "_placed", logged)
         monkeypatch.setattr(synth, "_noise_frame", watched)
         validate_spec(simple_spec(noise_amp=1e-4, noise_count=2))
-        # Two profiles per index, each received before the next index is placed.
-        assert received == [n for n in range(1, 9) for _ in range(2)]
+        # One mapping per index, each received before the next index is placed.
+        assert received == list(range(1, 9))
+
+    def test_validate_spec_without_noise_places_each_index_once(self, monkeypatch):
+        placed_at, log = synth._placed, []
+
+        def logged(spec, n):
+            log.append(n)
+            return placed_at(spec, n)
+
+        monkeypatch.setattr(synth, "_placed", logged)
+        assert validate_spec(simple_spec()) is None
+        assert log == list(range(1, 9))
 
     def test_generate_and_validate_spec_share_the_frame(self, monkeypatch):
         frames = []
