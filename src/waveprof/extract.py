@@ -103,6 +103,12 @@ def input_space_norm(field: CoeffField, space: InputSpace) -> float:
     return besov_norm(field, BesovParams.critical(field.dim, space.p, space.a, space.q))
 
 
+def _check_lattice(n: int, field: CoeffField) -> None:
+    """Reject input ``n``, the n-th of the sequence, unless all its shifts are integral."""
+    if not field.is_lattice:
+        raise ValueError(f"input {n}: inputs must carry integral shifts")
+
+
 def _input_norm(n: int, field: CoeffField, space: InputSpace) -> float:
     """``input_space_norm`` of input ``n``, the n-th of the sequence; an error names the input."""
     try:
@@ -226,8 +232,7 @@ def extract_profiles(sequence: Sequence[CoeffField], config: ExtractConfig) -> D
     for n, f in enumerate(fields, start=1):
         if f.dim != dim or f.p != p:
             raise ValueError(f"input {n}: sequence mixes dimensions or reference exponents")
-        if not f.is_lattice:
-            raise ValueError(f"input {n}: inputs must carry integral shifts")
+        _check_lattice(n, f)
     if config.input_space.p != p:
         raise ValueError("config reference exponent does not match the inputs")
     if config.tail_window > len(fields):
@@ -464,6 +469,8 @@ def verify(dec: Decomposition, config: ExtractConfig) -> VerificationReport:
     if known is not None and known[0] == space:
         input_norms = tuple(known[1][n] for n in ns)
     else:
+        for n, f in dec.inputs.items():  # extraction checked its own inputs
+            _check_lattice(n, f)
         input_norms = tuple(_input_norm(n, dec.inputs[n], space) for n in ns)
     tail_input_min = min(input_norms[tail_start:]) if ns else 0.0
     profile_norms = tuple(input_space_norm(g.profile, space) for g in dec.groups)

@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .dyadic import MAX_SHIFT, DyadicAffine, WaveletIndex, _too_wide, act_on_index
+
+_denom_exp = attrgetter("shift.denom_exp")
+_one_denominator_key = attrgetter("scale", "shift.numerators", "gen")
 
 
 def order_key(field: CoeffField) -> Callable[[WaveletIndex], tuple]:
@@ -20,11 +24,14 @@ def order_key(field: CoeffField) -> Callable[[WaveletIndex], tuple]:
 
     Shifts compare as integers at the field's largest ``denom_exp``, which
     orders them exactly as their rational values do; ``ValueError`` when that
-    needs a shift of over ``MAX_SHIFT`` bits.
+    needs a shift of over ``MAX_SHIFT`` bits.  When all shifts share one
+    ``denom_exp``, as on every lattice field, the key is an attribute getter.
     """
-    exps = {index.shift.denom_exp for index in field.entries}
-    top = max(exps, default=0)
-    if top - min(exps, default=0) > MAX_SHIFT:
+    exps = set(map(_denom_exp, field.entries))
+    if len(exps) < 2:
+        return _one_denominator_key  # every stretch below would be 0
+    top = max(exps)
+    if top - min(exps) > MAX_SHIFT:
         raise _too_wide(top - min(exps))
 
     def key(index: WaveletIndex) -> tuple:
@@ -98,7 +105,7 @@ class CoeffField:
 
     @property
     def is_lattice(self) -> bool:
-        return all(index.on_lattice for index in self.entries)
+        return not any(map(_denom_exp, self.entries))
 
     def without(self, index: WaveletIndex) -> CoeffField:
         """Copy with one component removed."""

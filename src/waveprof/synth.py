@@ -36,7 +36,8 @@ from .dyadic import (
 from .extract import Decomposition, GroupMember, ProfileGroup
 from .field import CoeffField, order_key, rank, transform
 
-_MASK64 = (1 << 64) - 1
+_RANGE64 = 1 << 64  # the values of one SeededStream output
+_MASK64 = _RANGE64 - 1
 
 
 class SeededStream:
@@ -59,9 +60,9 @@ class SeededStream:
     def below(self, bound: int) -> int:
         if bound <= 0:
             raise ValueError("bound must be positive")
-        if bound > 1 << 64:
+        if bound > _RANGE64:
             raise ValueError("bound must be at most 2**64")
-        limit = (1 << 64) - ((1 << 64) % bound)
+        limit = _RANGE64 - _RANGE64 % bound
         while True:
             raw = self.next_raw()
             if raw < limit:
@@ -91,6 +92,8 @@ class ParamLaw(namedtuple("ParamLaw", "kind j0 k0 velocity scale_step")):
         j0, scale_step = operator.index(j0), operator.index(scale_step)
         k0 = tuple(map(operator.index, k0))
         velocity = tuple(map(operator.index, velocity))
+        if not k0:
+            raise ValueError("law dimension must be at least 1")
         if len(velocity) != len(k0):
             raise ValueError("velocity dimension does not match k0")
         expected = {
@@ -104,10 +107,10 @@ class ParamLaw(namedtuple("ParamLaw", "kind j0 k0 velocity scale_step")):
         return tuple.__new__(cls, (kind, j0, k0, velocity, scale_step))
 
     def params(self, n: int) -> DyadicAffine:
-        return DyadicAffine(
-            self.j0 + n * self.scale_step,
-            DyadicRationalVec(tuple(c + n * v for c, v in zip(self.k0, self.velocity))),
-        )
+        # ``__new__`` checked the fields and ``n`` is checked here: integral, so in lowest terms.
+        scale = self.j0 + operator.index(n) * self.scale_step
+        nums = tuple([c + n * v for c, v in zip(self.k0, self.velocity)])
+        return DyadicAffine._make((scale, DyadicRationalVec._make((nums, 0))))
 
 
 class PlantedProfile(NamedTuple):
@@ -208,8 +211,8 @@ def _reframed_groups(spec: SyntheticSpec, retained: tuple[int, ...]) -> list[Pro
         profile = transform(planted.field, invert(anchor_index))
         anchors = {}
         for n in retained:
-            _, scale, shift = act_on_index(planted.law.params(n), anchor_index)
-            anchors[n] = DyadicAffine(scale, shift)
+            # An index's scale and shift are a valid frame's.
+            anchors[n] = DyadicAffine._make(act_on_index(planted.law.params(n), anchor_index)[1:])
         staged.append((anchors, profile))
         flat += [(gi, i, profile.entries[i]) for i in sorted(profile, key=order_key(profile))]
 
@@ -271,11 +274,13 @@ def _draw_noise(
     scale, offset, span = frame
     base = (offset + (n - 1) * span) << scale
     width = span << scale
+    gens, axes = (1 << spec.dim) - 1, range(spec.dim)
     size = len(entries) + spec.noise_count
     while len(entries) < size:
-        gen = 1 + stream.below((1 << spec.dim) - 1)
-        shift = tuple(base + stream.below(width) for _ in range(spec.dim))
-        index = WaveletIndex(gen, scale, DyadicRationalVec(shift))
+        # A generator in [1, 2**dim - 1] and integral shifts: valid and in lowest terms.
+        gen = 1 + stream.below(gens)
+        shift = DyadicRationalVec._make((tuple([base + stream.below(width) for _ in axes]), 0))
+        index = WaveletIndex._make((gen, scale, shift))
         if index in entries:
             continue
         amp = (2.0 * stream.unit() - 1.0) * spec.noise_amp

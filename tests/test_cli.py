@@ -619,7 +619,13 @@ _INPUT_PROBES = {
     "fine-shift": (
         {"i": 1, "j": 0, "k": [1], "denom_exp": 1100, "amp": 0.25},
         {"decompose": "inputs must carry integral shifts",
-         "verify": "Lebesgue norm needs more than 1048576 cubes times sides"},
+         "verify": "inputs must carry integral shifts"},
+    ),
+    # Off the lattice but cheap to norm: only the lattice check can reject it.
+    "off-grid": (
+        {"i": 1, "j": 0, "k": [1], "denom_exp": 3, "amp": 1e-6},
+        {"decompose": "inputs must carry integral shifts",
+         "verify": "inputs must carry integral shifts"},
     ),
 }
 

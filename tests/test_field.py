@@ -177,7 +177,28 @@ def mixed_denominator_fields(draw):
     return CoeffField(dim, 4.0, draw(st.dictionaries(index, amps, min_size=1, max_size=16)))
 
 
+@st.composite
+def one_denominator_fields(draw):
+    """Fields of dimension 1-3 whose shifts all share one ``denom_exp`` in 0-8, of both signs."""
+    dim = draw(st.integers(1, 3))
+    denom_exp = draw(st.integers(0, 8))
+    # Odd first numerators keep each shift in lowest terms at ``denom_exp``.
+    first = st.integers(-150, 149).map(lambda c: 2 * c + 1 if denom_exp else c)
+    nums = st.tuples(first, *[st.integers(-300, 300)] * (dim - 1))
+    shift = nums.map(lambda ns: DyadicRationalVec(ns, denom_exp))
+    index = st.builds(WaveletIndex, st.integers(1, 2**dim - 1), st.integers(-2, 2), shift)
+    amps = st.sampled_from([-2.0, -1.0, 1.0, 2.0])
+    return CoeffField(dim, 4.0, draw(st.dictionaries(index, amps, min_size=1, max_size=16)))
+
+
 class TestOrderKey:
+    @given(one_denominator_fields())
+    def test_one_denominator_sorts_and_ranks_as_the_fraction_order(self, f):
+        assert len({i.shift.denom_exp for i in f.entries}) == 1
+        assert sorted(f.entries, key=order_key(f)) == sorted(f.entries, key=order_key_oracle)
+        expected = sorted(f.entries.items(), key=lambda kv: (-abs(kv[1]),) + order_key_oracle(kv[0]))
+        assert rank(f) == tuple(expected)
+
     @given(mixed_denominator_fields())
     def test_sorts_as_the_fraction_order(self, f):
         assert sorted(f.entries, key=order_key(f)) == sorted(f.entries, key=order_key_oracle)

@@ -7,7 +7,7 @@ import pytest
 
 import waveprof
 from waveprof import cli, dyadic, extract, field, norms, synth
-from waveprof.dyadic import DyadicAffine, compose, invert
+from waveprof.dyadic import DyadicAffine, DyadicRationalVec, WaveletIndex, compose, invert
 from waveprof.extract import ExtractConfig, LpInput, extract_profiles, remainder
 from waveprof.field import CoeffField, transform
 from waveprof.norms import lp_norm, sup_amplitude
@@ -53,6 +53,11 @@ class TestParamLaw:
         with pytest.raises(ValueError):
             ParamLaw("wiggle", 0, (0,))
 
+    def test_rejects_an_empty_k0(self):
+        # params builds its shift unchecked, so the dimension is checked here, once.
+        with pytest.raises(ValueError, match="law dimension must be at least 1"):
+            ParamLaw("constant", 0, ())
+
     def test_evaluation(self):
         law = ParamLaw("mixed", 1, (2,), velocity=(3,), scale_step=-1)
         assert law.params(4) == lattice_frame(-3, 14)
@@ -73,6 +78,28 @@ class TestParamLaw:
         law = dict(kind="scaling", j0=0, k0=(0,), scale_step=1) | fields
         with pytest.raises(TypeError):
             ParamLaw(**law)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind, speed, scale_step", [
+        ("constant", 0, 0), ("translation", 3, 0), ("translation", -5, 0), ("scaling", 0, 2),
+        ("scaling", 0, -1), ("mixed", 4, 1), ("mixed", -7, -3),
+    ])
+    def test_params_is_the_frame_the_public_constructors_build(self, dim, kind, speed, scale_step):
+        # params builds its frame from the checked integer fields without re-checking them.
+        k0 = tuple(range(-1, dim - 1))
+        velocity = tuple(speed * (axis + 1) for axis in range(dim))
+        law = ParamLaw(kind, -2, k0, velocity=velocity, scale_step=scale_step)
+        for n in range(1, 6):
+            frame = law.params(n)
+            expected = DyadicAffine(
+                -2 + n * scale_step,
+                DyadicRationalVec(tuple(c + n * v for c, v in zip(k0, velocity))),
+            )
+            assert frame == expected
+            assert type(frame) is DyadicAffine and type(frame.shift) is DyadicRationalVec
+            assert frame.shift.denom_exp == 0
+        with pytest.raises(TypeError):
+            law.params(1.5)
 
 
 class TestValidation:
@@ -230,6 +257,10 @@ class TestGenerate:
             extra = set(f.entries) - planted.keys()
             assert len(extra) == 3
             assert all(0.0 < abs(f.entries[i]) <= 1e-4 for i in extra)
+            # Noise indices are built unchecked: each is the index the public constructors build.
+            for i in extra:
+                assert i == WaveletIndex(i.gen, i.scale, DyadicRationalVec(i.shift.numerators))
+                assert type(i) is WaveletIndex and type(i.shift) is DyadicRationalVec
             # Noise is drawn into the input's planted mapping: a draw on a
             # planted index would replace that amplitude, not add to it.
             assert all(f.entries.get(i) == amp for i, amp in planted.items())
